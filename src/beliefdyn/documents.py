@@ -5,8 +5,9 @@ A mass document looks like::
     {"frame": ["a", "b", "c"],
      "masses": {"a": 0.3, "b|c": 0.5, "a|b|c": 0.2}}
 
-Subset keys join member labels with ``|`` in frame order; the empty string
-is the empty set; unlisted subsets carry mass zero.  Converted
+Subset keys join member labels with ``|`` in frame order (so no label may
+contain ``|``); the empty string is the empty set; a subset is listed at
+most once and unlisted subsets carry mass zero.  Converted
 representations use ``"kind"`` (bel / pl / q / b) and a dense ``"values"``
 map instead of ``"masses"``.  Output is canonical: keys in bitmask order,
 numbers rounded to 12 significant digits.
@@ -48,12 +49,18 @@ def _round12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
+def _document_frame(frame: Frame) -> Frame:
+    if any("|" in label for label in frame.labels):
+        raise InputError(f"frame labels {frame.labels} contain the subset key separator '|'")
+    return frame
+
+
 def _parse_frame(doc: dict) -> Frame:
     labels = doc.get("frame")
     if not isinstance(labels, list) or not labels:
         raise InputError('document needs a non-empty "frame" list')
     try:
-        return Frame(tuple(labels))
+        return _document_frame(Frame(tuple(labels)))
     except Exception as exc:
         raise InputError(str(exc)) from exc
 
@@ -62,17 +69,30 @@ def _parse_values(frame: Frame, mapping, what: str) -> np.ndarray:
     if not isinstance(mapping, dict):
         raise InputError(f'"{what}" must be a key-value map')
     values = np.zeros(frame.size)
+    seen = set()
     for key, value in mapping.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise InputError(f"value for {key!r} is not a number: {value!r}")
-        values[parse_subset_key(frame, key)] = float(value)
+        subset = parse_subset_key(frame, key)
+        if subset in seen:
+            raise InputError(f"subset key {key!r} names a subset listed before")
+        seen.add(subset)
+        values[subset] = float(value)
     return values
+
+
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: ``json`` alone keeps the last of two equal keys silently."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise InputError("a JSON object in the document lists the same key twice")
+    return obj
 
 
 def parse_document(text: str) -> MassFunction | ValueFunction:
     """Parse a mass or value document; raises :class:`InputError` on bad files."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -99,6 +119,7 @@ def parse_mass_document(text: str) -> MassFunction:
 
 
 def format_mass_document(m: MassFunction) -> str:
+    _document_frame(m.frame)
     masses = {
         subset_key(m.frame, s): _round12(m.values[s])
         for s in range(m.frame.size)
@@ -109,6 +130,7 @@ def format_mass_document(m: MassFunction) -> str:
 
 
 def format_value_document(v: ValueFunction) -> str:
+    _document_frame(v.frame)
     values = {subset_key(v.frame, s): _round12(v.values[s]) for s in range(v.frame.size)}
     doc = {"frame": list(v.frame.labels), "kind": v.kind.value, "values": values}
     return json.dumps(doc, indent=2) + "\n"

@@ -23,8 +23,7 @@ def condition(m: MassFunction, condition_set: int) -> MassFunction:
     empty set (conflict) rather than being renormalized away.
     """
     m.frame.check_subset(condition_set)
-    out = np.zeros_like(m.values)
-    np.add.at(out, np.arange(m.frame.size) & condition_set, m.values)
+    out = np.bincount(np.arange(m.frame.size) & condition_set, m.values, m.frame.size)
     return MassFunction(m.frame, out)
 
 
@@ -85,6 +84,5 @@ def retract(combined: MassFunction, evidence: MassFunction, tol: float = DEFAULT
 def enlarge(m: MassFunction, indiscernible: int) -> MassFunction:
     """Make the elements of a set indiscernible: each mass moves from ``X`` to ``X | set``."""
     m.frame.check_subset(indiscernible)
-    out = np.zeros_like(m.values)
-    np.add.at(out, np.arange(m.frame.size) | indiscernible, m.values)
+    out = np.bincount(np.arange(m.frame.size) | indiscernible, m.values, m.frame.size)
     return MassFunction(m.frame, out)

@@ -3,7 +3,9 @@
 Subsets of a frame with elements ``e_0 .. e_{n-1}`` are encoded as integer
 bitmasks: bit ``i`` set means ``e_i`` is present, so ``0`` is the empty set
 and ``2**n - 1`` is the full frame.  Vectors indexed by subsets are plain
-``numpy`` arrays of length ``2**n`` in bitmask order.
+``numpy`` arrays of length ``2**n`` in bitmask order.  The transforms act
+on the last axis, so a ``(..., 2**n)`` array is a stack of such vectors
+transformed in one call.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def popcounts(size: int) -> np.ndarray:
 
 def _checked(values) -> np.ndarray:
     out = np.array(values, dtype=np.float64)
-    if out.ndim != 1 or out.size == 0 or out.size & (out.size - 1):
+    if out.ndim == 0 or out.shape[-1] == 0 or out.shape[-1] & (out.shape[-1] - 1):
         raise ValueError("lattice vector length must be a power of two")
     return out
 
@@ -141,41 +143,35 @@ def order_of(size: int) -> int:
     return n
 
 
+def _butterfly(values, upward: bool, op) -> np.ndarray:
+    """Butterfly along the last axis: ``upward`` sums over subsets, else over supersets.
+
+    ``op`` is ``np.add`` for the zeta transforms and ``np.subtract`` for their inverses.
+    """
+    out = _checked(values)
+    size = out.shape[-1]
+    for i in range(order_of(size)):
+        v = out.reshape(*out.shape[:-1], size >> (i + 1), 2, 1 << i)
+        src, dst = (v[..., 0, :], v[..., 1, :]) if upward else (v[..., 1, :], v[..., 0, :])
+        op(dst, src, out=dst)
+    return out
+
+
 def zeta_subsets(values) -> np.ndarray:
     """Subset-sum transform: ``g(A) = sum of f(B) over B contained in A``."""
-    out = _checked(values)
-    n = order_of(out.size)
-    for i in range(n):
-        v = out.reshape(-1, 2, 1 << i)
-        v[:, 1, :] += v[:, 0, :]
-    return out
+    return _butterfly(values, True, np.add)
 
 
 def mobius_subsets(values) -> np.ndarray:
     """Inverse of :func:`zeta_subsets`."""
-    out = _checked(values)
-    n = order_of(out.size)
-    for i in range(n):
-        v = out.reshape(-1, 2, 1 << i)
-        v[:, 1, :] -= v[:, 0, :]
-    return out
+    return _butterfly(values, True, np.subtract)
 
 
 def zeta_supersets(values) -> np.ndarray:
     """Superset-sum transform: ``g(A) = sum of f(B) over B containing A``."""
-    out = _checked(values)
-    n = order_of(out.size)
-    for i in range(n):
-        v = out.reshape(-1, 2, 1 << i)
-        v[:, 0, :] += v[:, 1, :]
-    return out
+    return _butterfly(values, False, np.add)
 
 
 def mobius_supersets(values) -> np.ndarray:
     """Inverse of :func:`zeta_supersets`."""
-    out = _checked(values)
-    n = order_of(out.size)
-    for i in range(n):
-        v = out.reshape(-1, 2, 1 << i)
-        v[:, 0, :] -= v[:, 1, :]
-    return out
+    return _butterfly(values, False, np.subtract)

@@ -99,11 +99,13 @@ def _subset_support(size: int) -> np.ndarray:
     return (idx[None, :] & ~idx[:, None]) == 0
 
 
-def _condition_values(values: np.ndarray, c: int) -> np.ndarray:
-    """Transfer each mass from X to X & c (unnormalized conditioning)."""
-    out = np.zeros_like(values)
-    np.add.at(out, np.arange(values.size) & c, values)
-    return out
+def _transfer_rows(values: np.ndarray, op) -> np.ndarray:
+    """Matrix whose row ``A`` moves each mass from ``X`` to ``op(A, X)``, in one scatter."""
+    size = values.size
+    rows = np.arange(size)[:, None]
+    target = op(rows, np.arange(size)) + rows * size
+    weights = np.broadcast_to(values, (size, size)).ravel()
+    return np.bincount(target.ravel(), weights, size * size).reshape(size, size)
 
 
 def conditioning_matrix(frame: Frame, condition_set: int) -> SpecializationMatrix:
@@ -119,10 +121,7 @@ def conditioning_matrix(frame: Frame, condition_set: int) -> SpecializationMatri
 def dempsterian_matrix(m: MassFunction) -> SpecializationMatrix:
     """Matrix whose row ``A`` is ``m`` conditioned on ``A``; row full is ``m`` itself."""
     frame = _check_matrix_frame(m.frame)
-    s = np.empty((frame.size, frame.size))
-    for a in range(frame.size):
-        s[a] = _condition_values(m.values, a)
-    return SpecializationMatrix(frame, s)
+    return SpecializationMatrix(frame, _transfer_rows(m.values, np.bitwise_and))
 
 
 def is_valid_specialization(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> bool:
@@ -152,11 +151,8 @@ def is_dempsterian(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> bool:
     """
     if not is_valid_specialization(s, tol):
         return False
-    top = s.values[-1]
-    for a in range(s.frame.size):
-        if np.abs(s.values[a] - _condition_values(top, a)).max() > tol:
-            return False
-    return True
+    rebuilt = _transfer_rows(s.values[-1], np.bitwise_and)
+    return bool(np.abs(s.values - rebuilt).max() <= tol)
 
 
 def apply(m: MassFunction, s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> MassFunction:
@@ -289,8 +285,4 @@ def enlargement_matrix(frame: Frame, indiscernible: int) -> GeneralizationMatrix
 def disjunctive_matrix(m: MassFunction) -> GeneralizationMatrix:
     """Generalization whose application realizes disjunctive combination with ``m``."""
     frame = _check_matrix_frame(m.frame)
-    g = np.zeros((frame.size, frame.size))
-    idx = np.arange(frame.size)
-    for a in range(frame.size):
-        np.add.at(g[a], a | idx, m.values)
-    return GeneralizationMatrix(frame, g)
+    return GeneralizationMatrix(frame, _transfer_rows(m.values, np.bitwise_or))

@@ -24,7 +24,7 @@ from .dynamics import (
     retract,
 )
 from .errors import FrameTooLargeError, InputError
-from .lattice import CAP_MATRIX, Frame, default_frame, subsets_of
+from .lattice import CAP_MATRIX, Frame, default_frame
 from .specialization import (
     SpecializationMatrix,
     apply,
@@ -109,24 +109,15 @@ def random_mass(frame: Frame, rng: np.random.Generator) -> MassFunction:
     return MassFunction(frame, u / total)
 
 
-def _random_row(support: list[int], size: int, rng: np.random.Generator) -> np.ndarray:
-    """Random distribution over the given support (normalized uniforms)."""
-    while True:
-        w = rng.random(len(support))
-        total = w.sum()
-        if total > 0.0:
-            break
-    row = np.zeros(size)
-    row[support] = w / total
-    return row
+def _random_rows(support: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Normalized uniforms on ``(0, 1]`` over the nonzero entries of each row of ``support``."""
+    w = support * (1.0 - rng.random(support.shape))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def random_specialization(frame: Frame, rng: np.random.Generator) -> SpecializationMatrix:
     """Random valid specialization: each row a distribution over the row's subsets."""
-    s = np.zeros((frame.size, frame.size))
-    for a in range(frame.size):
-        s[a] = _random_row(list(subsets_of(a)), frame.size, rng)
-    return SpecializationMatrix(frame, s)
+    return SpecializationMatrix(frame, _random_rows(incidence_matrix(frame), rng))
 
 
 def sigma_star_specialization(
@@ -138,17 +129,12 @@ def sigma_star_specialization(
     condition characterizing the matrices whose output always gives the
     complement of the conditioning set zero plausibility.
     """
-    s = np.zeros((frame.size, frame.size))
-    for a in range(frame.size):
-        s[a] = _random_row(list(subsets_of(a & condition_set)), frame.size, rng)
-    return SpecializationMatrix(frame, s)
+    support = incidence_matrix(frame)[np.arange(frame.size) & condition_set]
+    return SpecializationMatrix(frame, _random_rows(support, rng))
 
 
-def _pl_of_row(row: np.ndarray, full: int) -> np.ndarray:
-    comp = np.arange(row.size) ^ full
-    pl = row.sum() - lattice.zeta_subsets(row)[comp]
-    pl[0] = 0.0
-    return pl
+# Candidate rows tried per row of a dominated specialization before the fallback.
+_CANDIDATES_PER_ROW = 40
 
 
 def dominated_specialization(
@@ -159,27 +145,27 @@ def dominated_specialization(
     Row domination (row plausibility below the anchor's everywhere) is the
     checkable characterization of the matrices whose application always
     yields a state at least as committed as the anchor.  Rows are rejection
-    sampled; when no random row qualifies, a candidate is shrunk toward the
-    point mass on the empty set until it does.
+    sampled, all candidates in one block; when no candidate qualifies, a fresh
+    one is shrunk toward the point mass on the empty set until it does.
     """
     pl0 = pl_from_mass(anchor).values
-    s = np.zeros((frame.size, frame.size))
-    for a in range(frame.size):
-        support = list(subsets_of(a))
-        row = None
-        for _ in range(40):
-            cand = _random_row(support, frame.size, rng)
-            if (_pl_of_row(cand, frame.full) <= pl0 + TOL_EXACT).all():
-                row = cand
-                break
-        if row is None:
-            cand = _random_row(support, frame.size, rng)
-            pl_row = _pl_of_row(cand, frame.full)
-            positive = pl_row > 0.0
-            alpha = min(1.0, float((pl0[positive] / pl_row[positive]).min())) if positive.any() else 1.0
-            row = alpha * cand
-            row[0] += 1.0 - alpha
-        s[a] = row
+    size = frame.size
+    # one candidate beyond the cap per row: the fresh one the fallback shrinks
+    shape = (size, _CANDIDATES_PER_ROW + 1, size)
+    cands = _random_rows(np.broadcast_to(incidence_matrix(frame)[:, None, :], shape), rng)
+    # pl(D) = total - b(full - D), and full - D is the reversed index
+    pl = cands.sum(axis=-1, keepdims=True) - lattice.zeta_subsets(cands)[..., ::-1]
+    pl[..., 0] = 0.0
+    passed = (pl[:, :-1] <= pl0 + TOL_EXACT).all(axis=-1)
+    s = cands[np.arange(size), passed.argmax(axis=1)]
+    fallback = ~passed.any(axis=1)
+    if fallback.any():
+        cand, pl_row = cands[fallback, -1], pl[fallback, -1]
+        ratio = np.divide(pl0, pl_row, out=np.full_like(pl_row, np.inf), where=pl_row > 0.0)
+        alpha = np.minimum(1.0, ratio.min(axis=1))
+        cand *= alpha[:, None]
+        cand[:, 0] += 1.0 - alpha
+        s[fallback] = cand
     return SpecializationMatrix(frame, s)
 
 
@@ -530,6 +516,8 @@ def run_all(
     Checks are skipped at sizes above their cap (exhaustive enumeration and
     witness searches do not scale past desk-size frames).
     """
+    if samples is not None and samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     selected = list(CHECK_NAMES) if checks is None else list(checks)
     for name in selected:
         if name not in _CHECKS:

@@ -12,8 +12,8 @@ from beliefdyn.documents import (
     subset_key,
 )
 from beliefdyn.errors import InputError
-from beliefdyn.lattice import default_frame
-from beliefdyn.belief import q_from_mass
+from beliefdyn.lattice import Frame, default_frame
+from beliefdyn.belief import MassFunction, q_from_mass
 from beliefdyn.verify import random_mass
 
 F3 = default_frame(3)
@@ -61,6 +61,26 @@ class TestDocuments:
             with pytest.raises(InputError):
                 parse_document(text)
 
+    def test_subset_listed_twice_rejected(self):
+        # both keys name {a, b}; the listed masses sum to 1.3
+        permuted = '{"frame":["a","b","c"],"masses":{"a|b":0.3,"b|a":0.3,"c":0.7}}'
+        repeated = '{"frame":["a","b"],"masses":{"a":0.5,"a":0.5,"b":0.5}}'
+        for text in (permuted, repeated):
+            with pytest.raises(InputError, match="twice|listed before"):
+                parse_document(text)
+
+    def test_separator_in_label_rejected_on_read(self):
+        with pytest.raises(InputError, match="separator"):
+            parse_document('{"frame":["x|y","z"],"masses":{"z":1.0}}')
+
+    def test_separator_in_label_rejected_on_write(self):
+        frame = Frame(("x|y", "z"))
+        m = MassFunction(frame, [0.0, 0.5, 0.0, 0.5])
+        with pytest.raises(InputError, match="separator"):
+            format_mass_document(m)
+        with pytest.raises(InputError, match="separator"):
+            format_value_document(q_from_mass(m))
+
 
 class TestConvert:
     def test_partial_knowledge_to_belief(self, tmp_path, capsys):
@@ -94,6 +114,12 @@ class TestConvert:
     def test_invalid_mass_file_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", {"frame": ["a"], "masses": {"a": 0.4}})
         assert main(["convert", path, "--to", "bel"]) == 2
+
+    def test_subset_listed_twice_is_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, "dup.json",
+                     {"frame": ["a", "b", "c"], "masses": {"a|b": 0.3, "b|a": 0.3, "c": 0.7}})
+        assert main(["convert", path, "--to", "bel"]) == 2
+        assert "'b|a'" in capsys.readouterr().err
 
 
 class TestCombine:
@@ -230,3 +256,10 @@ class TestCheckCommand:
 
     def test_unknown_theorem_is_input_error(self, capsys):
         assert main(["check", "--theorems", "nope"]) == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_is_input_error(self, samples, capsys):
+        assert main(["check", "--n", "1", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "samples must be at least 1" in captured.err

@@ -136,8 +136,24 @@ class TestZetaTransforms:
         assert np.array_equal(f, np.arange(8.0))
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            zeta_subsets(np.zeros(6))
+        for bad in (np.zeros(6), np.zeros((3, 6)), np.zeros((2, 0)), 1.0):
+            with pytest.raises(ValueError):
+                zeta_subsets(bad)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    @pytest.mark.parametrize(
+        "transform", [zeta_subsets, mobius_subsets, zeta_supersets, mobius_supersets]
+    )
+    def test_stack_matches_row_by_row(self, transform, n):
+        rng = np.random.default_rng(40 + n)
+        stack = rng.standard_normal((2, 3, 1 << n))
+        before = stack.copy()
+        out = transform(stack)
+        assert out.shape == stack.shape
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], transform(stack[i, j]))
+        assert np.array_equal(stack, before)
 
 
 class TestRoundTrips:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from beliefdyn.belief import pl_from_mass
+from beliefdyn.belief import MassFunction, pl_from_mass
 from beliefdyn.errors import FrameTooLargeError, InputError
 from beliefdyn.lattice import default_frame
 from beliefdyn.specialization import is_valid_specialization
@@ -64,6 +64,15 @@ class TestSamplers:
             for a in range(8):
                 row_pl = [sum(s.values[a, b] for b in range(8) if b & d) for d in range(8)]
                 assert (np.array(row_pl) <= pl0 + 1e-9).all()
+
+    def test_dominated_fallback_when_no_candidate_passes(self):
+        # pl of a point mass on the empty set is zero everywhere, so every
+        # row but the empty set's rejects all its candidates and is shrunk
+        # all the way to the empty set
+        anchor = MassFunction(F3, np.eye(8)[0])
+        s = dominated_specialization(F3, anchor, np.random.default_rng(4))
+        assert is_valid_specialization(s)
+        assert np.array_equal(s.values, np.eye(8)[[0] * 8])
 
 
 class TestIndividualChecks:
@@ -152,6 +161,11 @@ class TestRunAll:
     def test_unknown_check_rejected(self):
         with pytest.raises(InputError):
             run_all(checks=["no-such-check"])
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(InputError):
+            run_all(sizes=(1,), samples=samples)
 
     def test_oversize_frame_rejected(self):
         with pytest.raises(FrameTooLargeError):
