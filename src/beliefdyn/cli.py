@@ -114,9 +114,10 @@ def _cmd_enlarge(args) -> int:
 
 def _frame_from_labels(labels: tuple[str, ...]) -> Frame:
     try:
-        return Frame(labels)
+        frame = Frame(labels)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    return documents._document_frame(frame)
 
 
 def _matrix_frame(args) -> Frame:

@@ -10,7 +10,19 @@ contain ``|``); the empty string is the empty set; a subset is listed at
 most once and unlisted subsets carry mass zero.  Converted
 representations use ``"kind"`` (bel / pl / q / b) and a dense ``"values"``
 map instead of ``"masses"``.  Output is canonical: keys in bitmask order,
-numbers rounded to 12 significant digits.
+numbers rounded to 12 significant digits, the text of
+``json.dumps(doc, indent=2)`` plus a newline.
+
+Zero rule: values below 1e-12 in magnitude are written as 0 when their
+magnitudes add up to at most 1e-10; otherwise every value is written at
+12 significant digits.  A mass document lists only the subsets whose
+written mass is not 0.  Writing thus moves a value of magnitude at most 1
+by less than 1e-12, and the sum of the masses by at most 1e-10 plus the
+rounding.  Where that would take the values outside the reader's 1e-9
+checks (masses summing to 1, none below -1e-9, the anchor value of a
+kind), which only a function at the edge of those checks can reach,
+every value is written unrounded instead, as Python's shortest
+round-trip ``repr``.  So the reader accepts whatever the writer emits.
 """
 
 from __future__ import annotations
@@ -20,33 +32,81 @@ import json
 import numpy as np
 
 from .belief import Kind, MassFunction, ValueFunction
-from .errors import InputError
-from .lattice import Frame
+from .errors import InputError, NotABeliefFunctionError
+from .lattice import Frame, _round12
+
+_ZERO_BELOW = 1e-12
+_ZERO_BUDGET = 1e-10
+
+
+def _key_table(frame: Frame) -> list[str]:
+    """Canonical subset keys in bitmask order."""
+    keys = [""]
+    for label in frame.labels:
+        # the masks with this label's bit set: every earlier mask plus the label
+        keys += [f"{key}|{label}" if key else label for key in keys]
+    return keys
+
+
+def _label_bits(frame: Frame) -> dict[str, int]:
+    return {label: 1 << i for i, label in enumerate(frame.labels)}
 
 
 def subset_key(frame: Frame, subset: int) -> str:
     return "|".join(frame.members(subset))
 
 
-def parse_subset_key(frame: Frame, key: str) -> int:
+def _decode_key(bits: dict[str, int], frame: Frame, key) -> int:
     if not isinstance(key, str):
         raise InputError(f"subset key must be a string, got {key!r}")
     if key == "":
         return 0
     members = key.split("|")
-    if len(set(members)) != len(members):
-        raise InputError(f"repeated label in subset key {key!r}")
     try:
-        return frame.subset(members)
-    except Exception as exc:
-        raise InputError(str(exc)) from exc
+        subset = sum(map(bits.__getitem__, members))
+    except KeyError as exc:
+        raise InputError(f"label {exc.args[0]!r} not in frame {frame.labels}") from None
+    if subset.bit_count() != len(members):
+        raise InputError(f"repeated label in subset key {key!r}")
+    return subset
 
 
-def _round12(x: float) -> float:
-    # values below the 12-significant-digit print precision collapse to zero
-    if abs(x) < 1e-12:
-        return 0.0
-    return float(f"{float(x):.12g}")
+def parse_subset_key(frame: Frame, key: str) -> int:
+    return _decode_key(_label_bits(frame), frame, key)
+
+
+def _written(values: np.ndarray, rebuild) -> np.ndarray:
+    """``values`` as a document writes them, by the rules of the module docstring.
+
+    ``rebuild`` is the reader's constructor applied to the written values.
+    """
+    tiny = np.abs(values) < _ZERO_BELOW
+    if np.abs(values[tiny]).sum() <= _ZERO_BUDGET:
+        out = np.where(tiny, 0.0, values)
+    else:
+        out = values.copy()
+    listed = np.flatnonzero(out)
+    out[listed] = [_round12(x) for x in out[listed].tolist()]
+    try:
+        rebuild(out)
+    except NotABeliefFunctionError:
+        return values
+    return out
+
+
+def _dump(header: dict, field: str, keys: list[str], values: list[float]) -> str:
+    """``json.dumps({**header, field: dict(zip(keys, values))}, indent=2) + "\\n"``.
+
+    Only the short header goes through ``json.dumps``; each body line is an
+    escaped key and the ``repr`` of the value, as the encoder writes them.
+    """
+    text = json.dumps({**header, field: {}}, indent=2)
+    if not keys:
+        return text + "\n"
+    escape = json.encoder.encode_basestring_ascii
+    body = ",\n".join([f"    {escape(k)}: {x!r}" for k, x in zip(keys, values)])
+    # text ends with the empty map and the closing brace: '{}\n}'
+    return f"{text[:-4]}{{\n{body}\n  }}\n}}\n"
 
 
 def _document_frame(frame: Frame) -> Frame:
@@ -68,12 +128,13 @@ def _parse_frame(doc: dict) -> Frame:
 def _parse_values(frame: Frame, mapping, what: str) -> np.ndarray:
     if not isinstance(mapping, dict):
         raise InputError(f'"{what}" must be a key-value map')
+    bits = _label_bits(frame)
     values = np.zeros(frame.size)
     seen = set()
     for key, value in mapping.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise InputError(f"value for {key!r} is not a number: {value!r}")
-        subset = parse_subset_key(frame, key)
+        subset = _decode_key(bits, frame, key)
         if subset in seen:
             raise InputError(f"subset key {key!r} names a subset listed before")
         seen.add(subset)
@@ -119,21 +180,26 @@ def parse_mass_document(text: str) -> MassFunction:
 
 
 def format_mass_document(m: MassFunction) -> str:
-    _document_frame(m.frame)
-    masses = {
-        subset_key(m.frame, s): _round12(m.values[s])
-        for s in range(m.frame.size)
-        if _round12(m.values[s]) != 0.0
-    }
-    doc = {"frame": list(m.frame.labels), "masses": masses}
-    return json.dumps(doc, indent=2) + "\n"
+    frame = _document_frame(m.frame)
+    values = _written(m.values, lambda out: MassFunction(frame, out))
+    listed = np.flatnonzero(values)
+    keys = _key_table(frame)
+    return _dump(
+        {"frame": list(frame.labels)},
+        "masses",
+        [keys[s] for s in listed.tolist()],
+        values[listed].tolist(),
+    )
 
 
 def format_value_document(v: ValueFunction) -> str:
-    _document_frame(v.frame)
-    values = {subset_key(v.frame, s): _round12(v.values[s]) for s in range(v.frame.size)}
-    doc = {"frame": list(v.frame.labels), "kind": v.kind.value, "values": values}
-    return json.dumps(doc, indent=2) + "\n"
+    frame = _document_frame(v.frame)
+    return _dump(
+        {"frame": list(frame.labels), "kind": v.kind.value},
+        "values",
+        _key_table(frame),
+        _written(v.values, lambda out: ValueFunction(frame, v.kind, out)).tolist(),
+    )
 
 
 def format_matrix(frame: Frame, values: np.ndarray, kind: str) -> str:

@@ -27,6 +27,11 @@ CAP_TRANSFORM = 20
 CAP_MATRIX = 10
 
 
+def _round12(x: float) -> float:
+    """``x`` rounded to 12 significant digits, the precision documents and witnesses print."""
+    return float(f"{x:.12g}")
+
+
 @dataclass(frozen=True)
 class Frame:
     """A finite frame of discernment: an ordered tuple of distinct labels."""
@@ -83,19 +88,6 @@ class Frame:
                 f"subset {subset:#x} out of range for a frame of {self.n} elements"
             )
         return subset
-
-    def complement(self, subset: int) -> int:
-        return self.full ^ self.check_subset(subset)
-
-    def union(self, a: int, b: int) -> int:
-        return self.check_subset(a) | self.check_subset(b)
-
-    def intersection(self, a: int, b: int) -> int:
-        return self.check_subset(a) & self.check_subset(b)
-
-    def is_subset(self, a: int, b: int) -> bool:
-        """True iff ``a`` is contained in ``b``."""
-        return self.check_subset(a) & ~self.check_subset(b) == 0
 
 
 def default_frame(n: int) -> Frame:

@@ -24,7 +24,7 @@ from .dynamics import (
     retract,
 )
 from .errors import FrameTooLargeError, InputError
-from .lattice import CAP_MATRIX, Frame, default_frame
+from .lattice import CAP_MATRIX, Frame, _round12, default_frame
 from .specialization import (
     SpecializationMatrix,
     apply,
@@ -66,17 +66,13 @@ class CheckReport:
         )
 
 
-def _round12(x: float) -> float:
-    return float(f"{float(x):.12g}")
-
-
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (float, np.floating)):
-        return _round12(obj)
+        return _round12(float(obj))
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     return obj

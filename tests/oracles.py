@@ -5,6 +5,8 @@ from the defining formulas, kept free of the library's fast transforms so
 the two routes stay independent.
 """
 
+import json
+
 import numpy as np
 
 
@@ -93,3 +95,30 @@ def naive_condition(masses, c, full):
             if is_subset(y, comp):
                 out[b] += masses[b | y]
     return out
+
+
+def reference_document(labels, values, kind=None):
+    """Document text built as a dict and dumped by ``json.dumps(indent=2)``.
+
+    Applies the writer's zero rule (values below 1e-12 become 0 when their
+    magnitudes add up to at most 1e-10) and 12-significant-digit rounding
+    one entry at a time; the writer's unrounded fallback at the edge of the
+    reader's checks is not modelled.  ``kind=None`` writes a mass document,
+    which lists only the nonzero entries; otherwise a dense value document
+    of that kind.
+    """
+    tiny_total = sum(abs(x) for x in values if abs(x) < 1e-12)
+    entries = {}
+    for subset, x in enumerate(values):
+        if abs(x) < 1e-12 and tiny_total <= 1e-10:
+            x = 0.0
+        x = float(f"{float(x):.12g}")
+        if kind is None and x == 0.0:
+            continue
+        key = "|".join(label for i, label in enumerate(labels) if subset >> i & 1)
+        entries[key] = x
+    if kind is None:
+        doc = {"frame": list(labels), "masses": entries}
+    else:
+        doc = {"frame": list(labels), "kind": kind, "values": entries}
+    return json.dumps(doc, indent=2) + "\n"

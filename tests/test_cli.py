@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beliefdyn.cli import main
 from beliefdyn.documents import (
@@ -13,10 +15,42 @@ from beliefdyn.documents import (
 )
 from beliefdyn.errors import InputError
 from beliefdyn.lattice import Frame, default_frame
-from beliefdyn.belief import MassFunction, q_from_mass
+from beliefdyn.belief import Kind, MassFunction, ValueFunction, bel_from_mass, q_from_mass
 from beliefdyn.verify import random_mass
+from oracles import reference_document
 
 F3 = default_frame(3)
+
+
+def tiny_masses(n: int, tiny: float) -> MassFunction:
+    """``tiny`` on every subset but the full frame, which takes the rest."""
+    values = np.full(1 << n, tiny)
+    values[-1] = 1.0 - tiny * ((1 << n) - 1)
+    return MassFunction(default_frame(n), values)
+
+
+@st.composite
+def mass_functions(draw):
+    """Valid mass functions on up to 12 elements: dense, sparse, or mostly tiny masses.
+
+    The sum may sit up to 9.5e-10 away from 1, near the edge of the 1e-9 check.
+    """
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(["dense", "sparse", "tiny"]))
+    values = rng.random(1 << n)
+    if style == "sparse":
+        values *= rng.random(1 << n) < 0.1
+        values[rng.integers(1 << n)] += 0.5
+    if style == "tiny":
+        # below the 1e-12 print cut-off; together below or above the 1e-10 budget
+        values *= draw(st.sampled_from([1e-15, 1e-13, 9e-13]))
+        values[-1] = 1.0 - values[:-1].sum()
+    else:
+        values /= values.sum()
+    values[-1] += draw(st.sampled_from([0.0, -9.5e-10, 9.5e-10]))
+    return MassFunction(default_frame(n), values)
+
 
 PARTIAL = {"frame": ["a", "b", "c"], "masses": {"a": 0.3, "b|c": 0.5, "a|b|c": 0.2}}
 PAIR0 = {"frame": ["a", "b"], "masses": {"a": 0.5, "a|b": 0.5}}
@@ -37,10 +71,69 @@ class TestDocuments:
         assert parse_subset_key(F3, "") == 0
 
     def test_bad_keys_rejected(self):
-        with pytest.raises(InputError):
+        for key in ["a|z", "a|a", "a||b", "|a", "a|", "|", "a|b|a", "z"]:
+            with pytest.raises(InputError):
+                parse_subset_key(F3, key)
+            text = json.dumps({"frame": ["a", "b", "c"], "masses": {key: 0.5, "a|b|c": 0.5}})
+            with pytest.raises(InputError):
+                parse_document(text)
+
+    def test_unknown_label_is_named(self):
+        with pytest.raises(InputError, match="label 'z' not in frame"):
             parse_subset_key(F3, "a|z")
-        with pytest.raises(InputError):
-            parse_subset_key(F3, "a|a")
+
+    def test_non_canonical_key_parses(self):
+        m = parse_document('{"frame":["a","b","c"],"masses":{"c|b":0.5,"a":0.5}}')
+        assert m.mass(0b110) == 0.5
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            lambda n: tuple("abcdefghij"[:n]),
+            lambda n: tuple(["é", "ж", "日本", "😀", "ß", "ø", "λ", "ü", "ñ", "ç"][:n]),
+            lambda n: tuple(f'q"{i}\\' for i in range(n)),
+        ],
+        ids=["ascii", "non-ascii", "quote-backslash"],
+    )
+    def test_writer_matches_reference_dump(self, n, labels):
+        frame = Frame(labels(n))
+        rng = np.random.default_rng(n)
+        tiny = tiny_masses(n, 9e-13).values
+        cases = [random_mass(frame, rng).values, tiny, tiny_masses(n, 1e-15).values]
+        for values in cases:
+            m = MassFunction(frame, values)
+            assert format_mass_document(m) == reference_document(frame.labels, values)
+            for v in (bel_from_mass(m), q_from_mass(m)):
+                expected = reference_document(frame.labels, v.values, v.kind.value)
+                assert format_value_document(v) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(mass_functions())
+    # 4095 masses of 9e-13 add up to 3.7e-9: zeroing them all broke the 1e-9 sum check
+    @example(tiny_masses(12, 9e-13))
+    @example(tiny_masses(1, 5e-13))
+    @example(MassFunction(default_frame(1), [0.0, 1.0 - 9.999999999e-10]))
+    def test_every_mass_function_reads_back(self, m):
+        back = parse_document(format_mass_document(m))
+        assert isinstance(back, MassFunction)
+        # 12 significant digits keep 12 decimals below 1 but only 11 from 1 to 10,
+        # where a mass can sit when the masses sum to a little over 1
+        err = np.abs(back.values - m.values)
+        assert np.all(err <= np.where(np.abs(m.values) < 1.0, 1e-12, 5e-12 * np.abs(m.values)))
+
+    def test_edge_of_the_reader_checks_is_written_unrounded(self):
+        # rounded to 12 digits, 1 - 9.999999999e-10 becomes 0.999999999, 1.00000008e-9 below 1
+        m = MassFunction(default_frame(1), [0.0, 1.0 - 9.999999999e-10])
+        assert np.array_equal(parse_document(format_mass_document(m)).values, m.values)
+        # zeroing 100 masses of 9e-13 would take the sum 9e-11 further from 1
+        values = np.zeros(128)
+        values[1:101] = 9e-13
+        values[-1] = 1.0 - 9.5e-10 - values[:-1].sum()
+        m = MassFunction(default_frame(7), values)
+        assert np.array_equal(parse_document(format_mass_document(m)).values, m.values)
+        q = ValueFunction(default_frame(1), Kind.COMMONALITY, [1.0 - 9.999999999e-10, 0.5])
+        assert np.array_equal(parse_document(format_value_document(q)).values, q.values)
 
     def test_parse_print_round_trip(self):
         rng = np.random.default_rng(0)
@@ -230,6 +323,15 @@ class TestMatrix:
     def test_specialization_kind_needs_conditioning_key(self, capsys):
         assert main(["matrix", "--kind", "specialization"]) == 2
 
+    @pytest.mark.parametrize("conditioning", ["z", "x|y"])
+    def test_separator_in_frame_label_is_input_error(self, conditioning, capsys):
+        argv = ["matrix", "--kind", "specialization", "--frame", "x|y,z",
+                "--conditioning", conditioning]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "separator '|'" in captured.err
+
 
 class TestCheckCommand:
     def test_small_run_passes(self, capsys):
@@ -247,6 +349,11 @@ class TestCheckCommand:
         assert main(["check", "--n", "2", "--samples", "10", "--inject-fault"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL]" in out and "witness:" in out
+        witness = (
+            '{"check":"eigenstructure","diagonal_deviation":0.0,"eigenrow_deviation":0.001,'
+            '"m":[0.0,1.0,0.0,0.0],"n":2,"reconstruction_deviation":0.001}'
+        )
+        assert f"    witness: {witness}\n" in out
 
     def test_check_selection_flag(self, capsys):
         assert main(["check", "--n", "2", "--samples", "10",

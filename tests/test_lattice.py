@@ -49,27 +49,10 @@ class TestFrame:
     def test_subset_range_check(self):
         f = Frame(("a", "b"))
         with pytest.raises(FrameMismatchError):
-            f.complement(4)
+            f.members(4)
 
 
 class TestSubsetOps:
-    def test_disjoint_singletons(self):
-        f = Frame(("a", "b"))
-        assert f.intersection(f.subset(["a"]), f.subset(["b"])) == 0
-
-    def test_complement_of_empty(self):
-        f = Frame(("a", "b"))
-        assert f.complement(0) == f.full
-
-    def test_singleton_in_pair(self):
-        f = Frame(("a", "b"))
-        assert f.is_subset(f.subset(["a"]), f.full)
-        assert not f.is_subset(f.full, f.subset(["a"]))
-
-    def test_union(self):
-        f = Frame(("a", "b", "c"))
-        assert f.union(f.subset(["a"]), f.subset(["c"])) == f.subset(["a", "c"])
-
     def test_subsets_of_enumerates_every_subset(self):
         assert list(subsets_of(0b101)) == [0b000, 0b001, 0b100, 0b101]
         assert list(subsets_of(0)) == [0]

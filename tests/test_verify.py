@@ -9,6 +9,7 @@ from beliefdyn.lattice import default_frame
 from beliefdyn.specialization import is_valid_specialization
 from beliefdyn.verify import (
     CHECK_NAMES,
+    _witness,
     all_passed,
     check_combination_least_committed,
     check_commuting_implies_dempsterian,
@@ -195,6 +196,11 @@ class TestFaultInjection:
         witness = json.loads(next(r for r in reports if not r.passed).witness)
         # the recorded deviations locate the fault well above tolerance
         assert witness["reconstruction_deviation"] > 1e-9
+
+    def test_witness_keeps_values_below_document_cut_off(self):
+        # witnesses round to 12 significant digits but, unlike documents, zero nothing
+        text = _witness("x", 1, d=2.220446049250313e-16, m=np.array([1 / 3, 0.0]))
+        assert text == '{"check":"x","d":2.22044604925e-16,"m":[0.333333333333,0.0],"n":1}'
 
 
 class TestReportFormat:
