@@ -46,7 +46,7 @@ def _frozen_vector(frame: Frame, values) -> np.ndarray:
         raise NotABeliefFunctionError(
             f"expected {frame.size} values for a frame of {frame.n} elements, got shape {out.shape}"
         )
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NotABeliefFunctionError("values must be finite")
     out.flags.writeable = False
     return out

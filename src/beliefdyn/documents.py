@@ -183,13 +183,13 @@ def format_mass_document(m: MassFunction) -> str:
     frame = _document_frame(m.frame)
     values = _written(m.values, lambda out: MassFunction(frame, out))
     listed = np.flatnonzero(values)
-    keys = _key_table(frame)
-    return _dump(
-        {"frame": list(frame.labels)},
-        "masses",
-        [keys[s] for s in listed.tolist()],
-        values[listed].tolist(),
-    )
+    # one join costs about as much as 2n to 3n entries of the whole key table
+    if 3 * frame.n * listed.size < frame.size:
+        keys = [subset_key(frame, s) for s in listed.tolist()]
+    else:
+        table = _key_table(frame)
+        keys = [table[s] for s in listed.tolist()]
+    return _dump({"frame": list(frame.labels)}, "masses", keys, values[listed].tolist())
 
 
 def format_value_document(v: ValueFunction) -> str:

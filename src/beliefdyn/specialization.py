@@ -214,11 +214,13 @@ def incidence_matrix(frame: Frame) -> np.ndarray:
 def incidence_inverse(frame: Frame) -> np.ndarray:
     """Exact inverse of :func:`incidence_matrix`: ``(-1)**|A - B|`` for B subset of A.
 
-    Built from integer Moebius coefficients, never by numeric inversion.
+    Built from integer Moebius coefficients, never by numeric inversion: for B
+    inside A, ``|A - B|`` is odd exactly when the two parities of ``|A|`` and
+    ``|B|`` differ.
     """
     _check_matrix_frame(frame)
-    sizes = lattice.popcounts(frame.size)
-    signs = np.where((sizes[:, None] - sizes[None, :]) % 2 == 0, 1.0, -1.0)
+    parity = lattice.popcounts(frame.size) & 1
+    signs = 1.0 - 2.0 * (parity[:, None] ^ parity[None, :])
     return np.where(_subset_support(frame.size), signs, 0.0)
 
 
@@ -238,15 +240,27 @@ class EigenStructure:
     reconstruction_error: float
 
 
-def eigen_structure(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> EigenStructure:
+def _dempsterian_diagonal(s: SpecializationMatrix, tol: float) -> np.ndarray:
+    """``diag(s)``, the commonality of the generating mass; only for Dempsterian ``s``."""
     if not is_dempsterian(s, tol):
         raise NotDempsterianError("eigenstructure is defined for Dempsterian matrices only")
-    t = incidence_matrix(s.frame)
+    return np.diag(s.values).copy()
+
+
+def eigen_structure(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> EigenStructure:
+    """Diagonalize a Dempsterian ``s`` as ``T diag(q) T_inverse``.
+
+    ``reconstruction_error`` is the max-norm distance from ``s`` to that
+    product.  Left-multiplying by ``T`` sums rows over subsets, so the
+    product is :func:`lattice.zeta_subsets` down the columns of
+    ``diag(q) T_inverse``: O(N**2 n) for ``N = 2**n`` subsets, not a dense
+    O(N**3) product.
+    """
+    eigenvalues = _dempsterian_diagonal(s, tol)
     t_inv = incidence_inverse(s.frame)
-    eigenvalues = np.diag(s.values).copy()
-    reconstruction = (t * eigenvalues[None, :]) @ t_inv
+    reconstruction = lattice.zeta_subsets((eigenvalues[:, None] * t_inv).T).T
     err = float(np.abs(s.values - reconstruction).max())
-    return EigenStructure(s.frame, t, eigenvalues, t_inv, err)
+    return EigenStructure(s.frame, incidence_matrix(s.frame), eigenvalues, t_inv, err)
 
 
 def despecialize_matrix(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> DespecializationMatrix:
@@ -255,16 +269,21 @@ def despecialize_matrix(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> De
     Requires every eigenvalue (commonality value) to be nonzero; a zero
     eigenvalue means the generating mass function put no mass on the full
     frame's side of some subset and cannot be retracted.
+
+    For any vector ``w``, ``T diag(w) T_inverse`` is the matrix whose row
+    ``A`` moves the signed masses ``mobius_supersets(w)`` from ``X`` to
+    ``A & X`` (the Dempsterian matrix of those masses), so the inverse is
+    one Moebius transform and one scatter, O(N**2) for ``N = 2**n``
+    subsets, with neither ``T`` nor ``T_inverse`` built.
     """
-    structure = eigen_structure(s, tol)
-    q = structure.eigenvalues
+    q = _dempsterian_diagonal(s, tol)
     if np.abs(q).min() <= tol:
         worst = int(np.abs(q).argmin())
         raise SingularSpecializationError(
             f"singular: commonality of subset {worst} is {q[worst]:.3e}"
         )
-    d = (structure.transform / q[None, :]) @ structure.t_inverse
-    return DespecializationMatrix(s.frame, d)
+    signed = lattice.mobius_supersets(1.0 / q)
+    return DespecializationMatrix(s.frame, _transfer_rows(signed, np.bitwise_and))
 
 
 def enlargement_matrix(frame: Frame, indiscernible: int) -> GeneralizationMatrix:

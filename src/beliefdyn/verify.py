@@ -356,19 +356,11 @@ def check_eigen_structure(frame: Frame, samples: int = 200, seed=0, inject_fault
     return CheckReport(name, frame.n, samples, violations, worst, witness)
 
 
-def _naive_conjunctive(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+def _double_sum(m0: np.ndarray, m1: np.ndarray, op) -> np.ndarray:
+    """Quadratic double sum: ``m0[x] * m1[y]`` lands on ``op(x, y)``, no transform involved."""
+    idx = np.arange(m0.size)
     out = np.zeros_like(m0)
-    for x in range(m0.size):
-        for y in range(m1.size):
-            out[x & y] += m0[x] * m1[y]
-    return out
-
-
-def _naive_disjunctive(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(m0)
-    for x in range(m0.size):
-        for y in range(m1.size):
-            out[x | y] += m0[x] * m1[y]
+    np.add.at(out, op(idx[:, None], idx), np.multiply.outer(m0, m1))
     return out
 
 
@@ -410,7 +402,7 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
         # conjunctive rule: fast path vs double sum, q-product, algebra
         m01 = combine_conjunctive(m0, m1)
         devs["conj-double-sum"] = float(
-            np.abs(m01.values - _naive_conjunctive(m0.values, m1.values)).max()
+            np.abs(m01.values - _double_sum(m0.values, m1.values, np.bitwise_and)).max()
         )
         devs["conj-q-product"] = float(
             np.abs(q_from_mass(m01).values - q_from_mass(m0).values * q_from_mass(m1).values).max()
@@ -447,7 +439,7 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
         # disjunctive rule: fast path vs double sum, b-product, matrix path
         m_or = combine_disjunctive(m0, m1)
         devs["disj-double-sum"] = float(
-            np.abs(m_or.values - _naive_disjunctive(m0.values, m1.values)).max()
+            np.abs(m_or.values - _double_sum(m0.values, m1.values, np.bitwise_or)).max()
         )
         devs["disj-b-product"] = float(
             np.abs(

@@ -38,6 +38,23 @@ def naive_mobius_subsets(g):
     )
 
 
+def naive_incidence_inverse(size):
+    """``(-1)**|A - B|`` at (A, B) for B inside A, else 0."""
+    return np.array(
+        [
+            [(-1.0) ** (a & ~b).bit_count() if is_subset(b, a) else 0.0 for b in range(size)]
+            for a in range(size)
+        ]
+    )
+
+
+def dense_eigen_product(w):
+    """``T diag(w) T^-1`` by dense products; ``T`` is 1 at (A, B) iff B is inside A."""
+    w = np.asarray(w, dtype=float)
+    t = np.array([[float(is_subset(b, a)) for b in range(w.size)] for a in range(w.size)])
+    return (t * w[None, :]) @ naive_incidence_inverse(w.size)
+
+
 def naive_bel(masses):
     masses = np.asarray(masses, dtype=float)
     return np.array(

@@ -100,7 +100,12 @@ class TestDocuments:
         frame = Frame(labels(n))
         rng = np.random.default_rng(n)
         tiny = tiny_masses(n, 9e-13).values
-        cases = [random_mass(frame, rng).values, tiny, tiny_masses(n, 1e-15).values]
+        # a few focal sets: the writer joins their keys instead of building the key table
+        sparse = np.zeros(frame.size)
+        sparse[rng.integers(frame.size, size=3)] = rng.random(3)
+        sparse[-1] += 0.5
+        sparse /= sparse.sum()
+        cases = [random_mass(frame, rng).values, tiny, tiny_masses(n, 1e-15).values, sparse]
         for values in cases:
             m = MassFunction(frame, values)
             assert format_mass_document(m) == reference_document(frame.labels, values)

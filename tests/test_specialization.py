@@ -31,6 +31,7 @@ from beliefdyn.specialization import (
     is_valid_specialization,
 )
 from beliefdyn.verify import random_mass, random_specialization
+from oracles import dense_eigen_product, naive_incidence_inverse
 
 F2 = default_frame(2)
 F3 = default_frame(3)
@@ -39,6 +40,22 @@ F3 = default_frame(3)
 def two_element_example() -> MassFunction:
     """Mass .4 on {b}, .6 on the frame {a,b}."""
     return MassFunction.from_masses(F2, {0b10: 0.4, 0b11: 0.6})
+
+
+def invertible_mass(frame, rng, on_full: float = 0.1) -> MassFunction:
+    """Random mass mixed with the vacuous one, so every commonality is at least ``on_full``."""
+    values = (1.0 - on_full) * random_mass(frame, rng).values + on_full * vacuous(frame).values
+    return MassFunction(frame, values)
+
+
+def perturbed_not_dempsterian() -> SpecializationMatrix:
+    """A valid specialization: a Dempsterian matrix with one row moved toward the empty set."""
+    rng = np.random.default_rng(6)
+    base = dempsterian_matrix(random_mass(F3, rng)).values.copy()
+    row = 0b011
+    base[row, 0] += 0.25
+    base[row] /= base[row].sum()
+    return SpecializationMatrix(F3, base)
 
 
 class TestConditioningMatrix:
@@ -184,13 +201,7 @@ class TestPredicates:
         assert is_dempsterian(s)
 
     def test_perturbed_rows_stay_valid_but_not_dempsterian(self):
-        rng = np.random.default_rng(6)
-        base = dempsterian_matrix(random_mass(F3, rng)).values.copy()
-        # move a slice of row {a,b}'s mass toward the empty set and renormalize
-        row = 0b011
-        base[row, 0] += 0.25
-        base[row] /= base[row].sum()
-        s = SpecializationMatrix(F3, base)
+        s = perturbed_not_dempsterian()
         assert is_valid_specialization(s)
         assert not is_dempsterian(s)
 
@@ -269,6 +280,15 @@ class TestIncidenceTransform:
             m = random_mass(frame, rng)
             np.testing.assert_allclose(m.values @ t, q_from_mass(m).values, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_inverse_is_the_sign_formula(self, n):
+        frame = default_frame(n)
+        inverse = incidence_inverse(frame)
+        expected = naive_incidence_inverse(frame.size)
+        assert inverse.dtype == np.float64
+        assert np.array_equal(inverse, expected)
+        assert np.array_equal(np.signbit(inverse), np.signbit(expected))
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exact_inverse(self, n):
         frame = default_frame(n)
@@ -312,6 +332,32 @@ class TestEigenStructure:
                     float(np.prod(q_from_mass(m).values)), abs=1e-8
                 )
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_reconstruction_error_matches_dense_product(self, n):
+        frame = default_frame(n)
+        rng = np.random.default_rng(120 + n)
+        for _ in range(5):
+            s = dempsterian_matrix(random_mass(frame, rng))
+            structure = eigen_structure(s)
+            dense = np.abs(s.values - dense_eigen_product(structure.eigenvalues)).max()
+            assert abs(structure.reconstruction_error - dense) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_reconstruction_error_off_the_family(self, n):
+        # within a loose tolerance, a matrix off the Dempsterian family has a visible
+        # error; on one element every valid specialization is Dempsterian
+        frame = default_frame(n)
+        rng = np.random.default_rng(140 + n)
+        values = dempsterian_matrix(invertible_mass(frame, rng)).values.copy()
+        for row in {frame.full, int(rng.integers(1, frame.size))}:
+            values[row, row] -= 1e-6
+            values[row, 0] += 1e-6
+        s = SpecializationMatrix(frame, values)
+        structure = eigen_structure(s, tol=1e-4)
+        dense = np.abs(s.values - dense_eigen_product(structure.eigenvalues)).max()
+        assert dense >= 5e-7
+        assert abs(structure.reconstruction_error - dense) <= 1e-12
+
     def test_non_dempsterian_rejected(self):
         values = np.eye(4)
         values[0b11] = [0.5, 0.25, 0.25, 0.0]
@@ -333,6 +379,26 @@ class TestDespecialization:
             s = dempsterian_matrix(m)
             d = despecialize_matrix(s)
             assert np.abs(s.values @ d.values - np.eye(frame.size)).max() <= 1e-8
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_dense_product(self, n):
+        frame = default_frame(n)
+        rng = np.random.default_rng(130 + n)
+        for _ in range(5):
+            s = dempsterian_matrix(invertible_mass(frame, rng))
+            expected = dense_eigen_product(1.0 / np.diag(s.values))
+            assert np.abs(despecialize_matrix(s).values - expected).max() <= 1e-12
+
+    def test_non_dempsterian_rejected(self):
+        with pytest.raises(NotDempsterianError):
+            despecialize_matrix(perturbed_not_dempsterian())
+
+    def test_matrix_cap(self):
+        frame = default_frame(10)
+        s = dempsterian_matrix(invertible_mass(frame, np.random.default_rng(12), on_full=0.5))
+        assert eigen_structure(s).reconstruction_error <= 1e-9
+        d = despecialize_matrix(s)
+        assert np.abs(s.values @ d.values - np.eye(frame.size)).max() <= 1e-9
 
     def test_round_trip_through_combination(self):
         rng = np.random.default_rng(10)
