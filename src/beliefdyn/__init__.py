@@ -50,7 +50,6 @@ from .lattice import (
     default_frame,
     mobius_subsets,
     mobius_supersets,
-    subsets_of,
     zeta_subsets,
     zeta_supersets,
 )
@@ -69,7 +68,6 @@ from .specialization import (
     disjunctive_matrix,
     eigen_structure,
     enlargement_matrix,
-    idempotence_check,
     incidence_inverse,
     incidence_matrix,
     is_dempsterian,

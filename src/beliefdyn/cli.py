@@ -90,10 +90,10 @@ def _cmd_combine(args) -> int:
     return 0
 
 
-def _cmd_condition(args) -> int:
+def _cmd_on_subset(args) -> int:
     m = _read_mass(args.input)
     subset = documents.parse_subset_key(m.frame, args.on)
-    _emit(documents.format_mass_document(condition(m, subset)), args.output)
+    _emit(documents.format_mass_document(args.rule(m, subset)), args.output)
     return 0
 
 
@@ -102,13 +102,6 @@ def _cmd_retract(args) -> int:
     evidence = _read_mass(args.evidence)
     require_same_frame(m, evidence)
     _emit(documents.format_mass_document(retract(m, evidence)), args.output)
-    return 0
-
-
-def _cmd_enlarge(args) -> int:
-    m = _read_mass(args.input)
-    subset = documents.parse_subset_key(m.frame, args.on)
-    _emit(documents.format_mass_document(enlarge(m, subset)), args.output)
     return 0
 
 
@@ -156,7 +149,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_check(args) -> int:
     sizes = _parse_int_list(args.n, "--n")
-    checks = args.theorems.split(",") if args.theorems else None
+    checks = None if args.theorems is None else args.theorems.split(",")
     reports = run_all(
         sizes=sizes,
         samples=args.samples,
@@ -201,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--on", required=True, metavar="SUBSET-KEY")
     p.add_argument("-o", "--output")
-    p.set_defaults(handler=_cmd_condition)
+    p.set_defaults(handler=_cmd_on_subset, rule=condition)
 
     p = sub.add_parser("retract", help="remove previously combined evidence")
     p.add_argument("input")
@@ -213,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--on", required=True, metavar="SUBSET-KEY")
     p.add_argument("-o", "--output")
-    p.set_defaults(handler=_cmd_enlarge)
+    p.set_defaults(handler=_cmd_on_subset, rule=enlarge)
 
     p = sub.add_parser("matrix", help="export a lattice operator as dense text")
     p.add_argument("input", nargs="?")

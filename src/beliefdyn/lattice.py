@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -103,16 +103,6 @@ def require_same_frame(a, b) -> Frame:
             f"operands on different frames: {a.frame.labels} vs {b.frame.labels}"
         )
     return a.frame
-
-
-def subsets_of(mask: int) -> Iterator[int]:
-    """All subsets of ``mask`` in increasing bitmask order."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
 
 
 def popcounts(size: int) -> np.ndarray:

@@ -84,6 +84,34 @@ def _witness(check: str, n: int, **data) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+@dataclass
+class _Fold:
+    """Turns a check's instances into its :class:`CheckReport`.
+
+    Each :meth:`add` is one instance.  The report keeps the worst of all
+    deviations, counts the violating instances (not their failed
+    sub-identities), and carries the witness of the first violating one.
+    """
+
+    check: str
+    n: int
+    instances: int = 0
+    violations: int = 0
+    worst_deviation: float = 0.0
+    witness: str | None = None
+
+    def add(self, violated: bool, deviations=(), **witness) -> None:
+        self.instances += 1
+        self.worst_deviation = max((self.worst_deviation, *deviations))
+        if violated:
+            self.violations += 1
+            if self.witness is None:
+                self.witness = _witness(self.check, self.n, **witness)
+
+    def report(self) -> CheckReport:
+        return CheckReport(**vars(self))
+
+
 # ---------------------------------------------------------------------------
 # instance samplers
 
@@ -175,11 +203,8 @@ def check_conditioning_least_committed(frame: Frame, samples: int = 500, seed=0)
     random masses, the conditioned state must dominate: its plausibility is
     pointwise largest, and the alternative's complement plausibility is zero.
     """
-    name = "conditioning-least-committed"
+    fold = _Fold("conditioning-least-committed", frame.n)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    violations = 0
-    witness = None
     for _ in range(samples):
         c = int(rng.integers(frame.size))
         s = sigma_star_specialization(frame, c, rng)
@@ -187,12 +212,8 @@ def check_conditioning_least_committed(frame: Frame, samples: int = 500, seed=0)
         pl_alt = pl_from_mass(apply(m, s)).values
         pl_cond = pl_from_mass(condition(m, c)).values
         dev = max(float(pl_alt[frame.full ^ c]), float((pl_alt - pl_cond).max()))
-        worst = max(worst, dev)
-        if dev > TOL:
-            violations += 1
-            if witness is None:
-                witness = _witness(name, frame.n, m=m.values, C=c, S=s.values, deviation=dev)
-    return CheckReport(name, frame.n, samples, violations, worst, witness)
+        fold.add(dev > TOL, (dev,), m=m.values, C=c, S=s.values, deviation=dev)
+    return fold.report()
 
 
 def check_conditioning_idempotent(frame: Frame, samples: int | None = None, seed=0) -> CheckReport:
@@ -201,28 +222,16 @@ def check_conditioning_idempotent(frame: Frame, samples: int | None = None, seed
     Exhaustive over every conditioning set (and every pair); the matrices
     are 0/1 so both identities must hold exactly.
     """
-    name = "conditioning-idempotent"
-    worst = 0.0
-    violations = 0
-    witness = None
+    fold = _Fold("conditioning-idempotent", frame.n)
     matrices = [conditioning_matrix(frame, c) for c in range(frame.size)]
-    instances = 0
     for c, s in enumerate(matrices):
-        instances += 1
         dev = float(np.abs(s.values @ s.values - s.values).max())
-        worst = max(worst, dev)
-        if dev > 0.0:
-            violations += 1
-            witness = witness or _witness(name, frame.n, C=c, deviation=dev)
+        fold.add(dev > 0.0, (dev,), C=c, deviation=dev)
     for c1, s1 in enumerate(matrices):
         for c2, s2 in enumerate(matrices):
-            instances += 1
             dev = float(np.abs(s1.values @ s2.values - matrices[c1 & c2].values).max())
-            worst = max(worst, dev)
-            if dev > 0.0:
-                violations += 1
-                witness = witness or _witness(name, frame.n, C1=c1, C2=c2, deviation=dev)
-    return CheckReport(name, frame.n, instances, violations, worst, witness)
+            fold.add(dev > 0.0, (dev,), C1=c1, C2=c2, deviation=dev)
+    return fold.report()
 
 
 def check_commuting_implies_dempsterian(frame: Frame, samples: int = 100, seed=0) -> CheckReport:
@@ -233,45 +242,30 @@ def check_commuting_implies_dempsterian(frame: Frame, samples: int = 100, seed=0
     for sampled valid non-Dempsterian matrices, some conditioning matrix
     must witness non-commutation.
     """
-    name = "commuting-implies-dempsterian"
+    fold = _Fold("commuting-implies-dempsterian", frame.n)
     rng = np.random.default_rng(seed)
     conditioners = [conditioning_matrix(frame, c) for c in range(frame.size)]
-    worst = 0.0
-    violations = 0
-    witness = None
-    instances = 0
     for _ in range(samples):
-        instances += 1
         s = dempsterian_matrix(random_mass(frame, rng))
         dev = max(commute_check(s, sc)[1] for sc in conditioners)
-        worst = max(worst, dev)
-        if dev > TOL:
-            violations += 1
-            witness = witness or _witness(name, frame.n, S=s.values, deviation=dev)
+        fold.add(dev > TOL, (dev,), S=s.values, deviation=dev)
     if 2 <= frame.n <= 3:
+        # violations only: a non-Dempsterian matrix far from commuting is a pass
         for _ in range(samples):
-            instances += 1
             s = random_specialization(frame, rng)
             tries = 0
             while is_dempsterian(s) and tries < 100:
                 s = random_specialization(frame, rng)
                 tries += 1
             best = max(commute_check(s, sc)[1] for sc in conditioners)
-            if best <= TOL:
-                violations += 1
-                witness = witness or _witness(
-                    name, frame.n, S=s.values, best_witness_deviation=best
-                )
-    return CheckReport(name, frame.n, instances, violations, worst, witness)
+            fold.add(best <= TOL, S=s.values, best_witness_deviation=best)
+    return fold.report()
 
 
 def check_dempsterian_commutation(frame: Frame, samples: int = 200, seed=0) -> CheckReport:
     """Dempsterian matrices commute, and their product is the combination's matrix."""
-    name = "dempsterian-commutation"
+    fold = _Fold("dempsterian-commutation", frame.n)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    violations = 0
-    witness = None
     for _ in range(samples):
         m1 = random_mass(frame, rng)
         m2 = random_mass(frame, rng)
@@ -283,11 +277,8 @@ def check_dempsterian_commutation(frame: Frame, samples: int = 200, seed=0) -> C
             float(np.abs(product - s2.values @ s1.values).max()),
             float(np.abs(product - s12.values).max()),
         )
-        worst = max(worst, dev)
-        if dev > TOL:
-            violations += 1
-            witness = witness or _witness(name, frame.n, m1=m1.values, m2=m2.values, deviation=dev)
-    return CheckReport(name, frame.n, samples, violations, worst, witness)
+        fold.add(dev > TOL, (dev,), m1=m1.values, m2=m2.values, deviation=dev)
+    return fold.report()
 
 
 def check_combination_least_committed(frame: Frame, samples: int = 300, seed=0) -> CheckReport:
@@ -297,11 +288,8 @@ def check_combination_least_committed(frame: Frame, samples: int = 300, seed=0) 
     random m: applying m0's own matrix equals conjunctive combination, and
     its plausibility dominates every alternative ``m . S`` pointwise.
     """
-    name = "combination-least-committed"
+    fold = _Fold("combination-least-committed", frame.n)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    violations = 0
-    witness = None
     for _ in range(samples):
         m0 = random_mass(frame, rng)
         s = dominated_specialization(frame, m0, rng)
@@ -309,14 +297,11 @@ def check_combination_least_committed(frame: Frame, samples: int = 300, seed=0) 
         best = apply(m, dempsterian_matrix(m0))
         eq_dev = float(np.abs(best.values - combine_conjunctive(m, m0).values).max())
         dom_dev = float((pl_from_mass(apply(m, s)).values - pl_from_mass(best).values).max())
-        worst = max(worst, eq_dev, dom_dev)
-        if eq_dev > TOL_EXACT or dom_dev > TOL:
-            violations += 1
-            witness = witness or _witness(
-                name, frame.n, m0=m0.values, m=m.values, S=s.values,
-                equality_deviation=eq_dev, domination_deviation=dom_dev,
-            )
-    return CheckReport(name, frame.n, samples, violations, worst, witness)
+        fold.add(
+            eq_dev > TOL_EXACT or dom_dev > TOL, (eq_dev, dom_dev), m0=m0.values, m=m.values,
+            S=s.values, equality_deviation=eq_dev, domination_deviation=dom_dev,
+        )
+    return fold.report()
 
 
 def check_eigen_structure(frame: Frame, samples: int = 200, seed=0, inject_fault: bool = False) -> CheckReport:
@@ -328,13 +313,10 @@ def check_eigen_structure(frame: Frame, samples: int = 200, seed=0, inject_fault
     matrix; it exists so the fault path of the reporting machinery can be
     exercised end to end.
     """
-    name = "eigenstructure"
+    fold = _Fold("eigenstructure", frame.n)
     rng = np.random.default_rng(seed)
     t = incidence_matrix(frame)
     t_inv = incidence_inverse(frame)
-    worst = 0.0
-    violations = 0
-    witness = None
     for k in range(samples):
         m = random_mass(frame, rng)
         values = dempsterian_matrix(m).values
@@ -345,15 +327,12 @@ def check_eigen_structure(frame: Frame, samples: int = 200, seed=0, inject_fault
         diag_dev = float(np.abs(np.diag(values) - q).max())
         recon_dev = float(np.abs(values - (t * q[None, :]) @ t_inv).max())
         row_dev = float(np.abs(t_inv @ values - q[:, None] * t_inv).max())
-        worst = max(worst, diag_dev, recon_dev, row_dev)
-        if diag_dev > TOL_EXACT or recon_dev > TOL or row_dev > TOL:
-            violations += 1
-            witness = witness or _witness(
-                name, frame.n, m=m.values,
-                diagonal_deviation=diag_dev, reconstruction_deviation=recon_dev,
-                eigenrow_deviation=row_dev,
-            )
-    return CheckReport(name, frame.n, samples, violations, worst, witness)
+        fold.add(
+            diag_dev > TOL_EXACT or recon_dev > TOL or row_dev > TOL,
+            (diag_dev, recon_dev, row_dev), m=m.values, diagonal_deviation=diag_dev,
+            reconstruction_deviation=recon_dev, eigenrow_deviation=row_dev,
+        )
+    return fold.report()
 
 
 def _double_sum(m0: np.ndarray, m1: np.ndarray, op) -> np.ndarray:
@@ -374,12 +353,9 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
     independence, retraction round trips, the disjunctive rule against its
     double sum and implicability product, and enlargement indiscernibility.
     """
-    name = "dynamics-invariants"
+    fold = _Fold("dynamics-invariants", frame.n)
     rng = np.random.default_rng(seed)
     vac = vacuous(frame)
-    worst = 0.0
-    violations = 0
-    witness = None
     for _ in range(samples):
         m0 = random_mass(frame, rng)
         m1 = random_mass(frame, rng)
@@ -390,9 +366,8 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
 
         # conditioning: transfer vs matrix vs closed belief form, and pl outside C
         cond = condition(m0, c)
-        devs["cond-matrix"] = float(
-            np.abs(cond.values - apply(m0, conditioning_matrix(frame, c)).values).max()
-        )
+        s_c = conditioning_matrix(frame, c)
+        devs["cond-matrix"] = float(np.abs(cond.values - apply(m0, s_c).values).max())
         bel0 = bel_from_mass(m0).values
         comp = frame.full ^ c
         closed = bel0[np.arange(frame.size) | comp] - bel0[comp]
@@ -425,7 +400,6 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
             np.abs(condition(cond, c2).values - condition(m0, c & c2).values).max()
         )
         s_m1 = dempsterian_matrix(m1)
-        s_c = conditioning_matrix(frame, c)
         devs["expansion-order"] = float(
             np.abs(apply(apply(m0, s_m1), s_c).values - apply(apply(m0, s_c), s_m1).values).max()
         )
@@ -464,29 +438,26 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
         )
 
         tolerances = {k: TOL_RETRACT if k == "retract-round-trip" else TOL for k in devs}
-        worst = max(worst, max(devs.values()))
         failed = [k for k, v in devs.items() if v > tolerances[k]]
-        if failed:
-            violations += 1
-            witness = witness or _witness(
-                name, frame.n, m0=m0.values, m1=m1.values, m2=m2.values,
-                C=c, C2=c2, A=a, X=x, Y=y,
-                failed={k: devs[k] for k in failed},
-            )
-    return CheckReport(name, frame.n, samples, violations, worst, witness)
+        fold.add(
+            bool(failed), devs.values(), m0=m0.values, m1=m1.values, m2=m2.values,
+            C=c, C2=c2, A=a, X=x, Y=y, failed={k: devs[k] for k in failed},
+        )
+    return fold.report()
 
 
 # ---------------------------------------------------------------------------
 # suite
 
+# Each check and the largest frame size it runs at; sample counts are the checks' own defaults.
 _CHECKS = {
-    "conditioning-least-committed": (check_conditioning_least_committed, 4, 500),
-    "conditioning-idempotent": (check_conditioning_idempotent, 4, 0),
-    "commuting-implies-dempsterian": (check_commuting_implies_dempsterian, 4, 100),
-    "dempsterian-commutation": (check_dempsterian_commutation, 5, 200),
-    "combination-least-committed": (check_combination_least_committed, 4, 300),
-    "eigenstructure": (check_eigen_structure, 5, 200),
-    "dynamics-invariants": (check_dynamics_invariants, 6, 300),
+    "conditioning-least-committed": (check_conditioning_least_committed, 4),
+    "conditioning-idempotent": (check_conditioning_idempotent, 4),
+    "commuting-implies-dempsterian": (check_commuting_implies_dempsterian, 4),
+    "dempsterian-commutation": (check_dempsterian_commutation, 5),
+    "combination-least-committed": (check_combination_least_committed, 4),
+    "eigenstructure": (check_eigen_structure, 5),
+    "dynamics-invariants": (check_dynamics_invariants, 6),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -502,7 +473,9 @@ def run_all(
     """Run the selected checks at every frame size; deterministic per seed.
 
     Checks are skipped at sizes above their cap (exhaustive enumeration and
-    witness searches do not scale past desk-size frames).
+    witness searches do not scale past desk-size frames); a selection that
+    runs no check at all is an input error.  ``samples`` overrides every
+    check's own default sample count.
     """
     if samples is not None and samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
@@ -520,16 +493,16 @@ def run_all(
         for index, name in enumerate(CHECK_NAMES):
             if name not in selected:
                 continue
-            fn, max_n, default_samples = _CHECKS[name]
+            fn, max_n = _CHECKS[name]
             if n > max_n:
                 continue
             child_seed = int(np.random.SeedSequence((seed, index, n)).generate_state(1)[0])
-            kwargs = {"samples": samples if samples is not None else default_samples}
-            if name == "conditioning-idempotent":
-                kwargs = {}
+            kwargs = {} if samples is None else {"samples": samples}
             if name == "eigenstructure" and inject_fault:
                 kwargs["inject_fault"] = True
             reports.append(fn(frame, seed=child_seed, **kwargs))
+    if not reports:
+        raise InputError(f"the selected checks run at none of the sizes {sizes}")
     return reports
 
 

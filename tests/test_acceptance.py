@@ -24,7 +24,7 @@ from beliefdyn.belief import (
 from beliefdyn.cli import main
 from beliefdyn.dynamics import combine_conjunctive, combine_disjunctive, condition, enlarge, retract
 from beliefdyn.errors import EvidenceNotContainedError, NonInvertibleEvidenceError
-from beliefdyn.lattice import default_frame, subsets_of, zeta_subsets
+from beliefdyn.lattice import default_frame, zeta_subsets
 from beliefdyn.specialization import (
     apply,
     apply_generalization,
@@ -248,9 +248,9 @@ def test_13_enlargement_invariance():
         m = random_mass(frame, rng)
         for a in range(frame.size):
             enlarged = enlarge(m, a)
-            for x in subsets_of(frame.full ^ a):
+            for x in [s for s in range(frame.size) if not s & a]:
                 base = condition(enlarged, x)
-                for y in subsets_of(a):
+                for y in [s for s in range(frame.size) if (s | a) == a]:
                     dev = float(
                         np.abs(condition(enlarged, x | y).values - enlarge(base, y).values).max()
                     )

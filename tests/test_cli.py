@@ -366,6 +366,17 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "conditioning-idempotent" in out and "dynamics-invariants" not in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "7,8"], ["--n", "5", "--theorems", "conditioning-least-committed"],
+         ["--theorems", ""]],
+    )
+    def test_selection_that_runs_nothing_is_input_error(self, argv, capsys):
+        assert main(["check", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_unknown_theorem_is_input_error(self, capsys):
         assert main(["check", "--theorems", "nope"]) == 2
 

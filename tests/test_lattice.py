@@ -11,7 +11,6 @@ from beliefdyn.lattice import (
     mobius_supersets,
     order_of,
     popcounts,
-    subsets_of,
     zeta_subsets,
     zeta_supersets,
 )
@@ -53,10 +52,6 @@ class TestFrame:
 
 
 class TestSubsetOps:
-    def test_subsets_of_enumerates_every_subset(self):
-        assert list(subsets_of(0b101)) == [0b000, 0b001, 0b100, 0b101]
-        assert list(subsets_of(0)) == [0]
-
     def test_popcounts(self):
         assert popcounts(8).tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
 

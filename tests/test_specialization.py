@@ -24,7 +24,6 @@ from beliefdyn.specialization import (
     disjunctive_matrix,
     eigen_structure,
     enlargement_matrix,
-    idempotence_check,
     incidence_inverse,
     incidence_matrix,
     is_dempsterian,
@@ -75,6 +74,16 @@ class TestConditioningMatrix:
             expected = np.zeros(4)
             expected[a & 0b10] = 1.0
             assert np.array_equal(s[a], expected)
+        # every row of both builders is one-hot: at A & C for conditioning on
+        # C, at A | C for enlargement by C; exhaustive up to n=6, sampled at the cap
+        cases = [(default_frame(n), c) for n in range(1, 7) for c in range(1 << n)]
+        big = default_frame(10)
+        cases += [(big, c) for c in (0, 0b0101100110, 0b1000000001, big.full)]
+        for frame, c in cases:
+            rows = np.arange(frame.size)
+            one_hot = np.eye(frame.size)
+            assert np.array_equal(conditioning_matrix(frame, c).values, one_hot[rows & c])
+            assert np.array_equal(enlargement_matrix(frame, c).values, one_hot[rows | c])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_always_valid_and_dempsterian(self, n):
@@ -250,19 +259,6 @@ class TestCommutation:
                 continue
             worst = max(commute_check(s, conditioning_matrix(F3, c))[1] for c in range(8))
             assert worst > 1e-9
-
-
-class TestIdempotence:
-    def test_conditioning_matrices_idempotent(self):
-        for c in range(8):
-            assert idempotence_check(conditioning_matrix(F3, c))
-
-    def test_identity_idempotent(self):
-        assert idempotence_check(conditioning_matrix(F2, F2.full))
-
-    def test_dempsterian_with_partial_frame_mass_is_not(self):
-        m = MassFunction.from_masses(F2, {0b01: 0.5, 0b11: 0.5})
-        assert not idempotence_check(dempsterian_matrix(m))
 
 
 class TestIncidenceTransform:

@@ -9,6 +9,9 @@ from beliefdyn.lattice import default_frame
 from beliefdyn.specialization import is_valid_specialization
 from beliefdyn.verify import (
     CHECK_NAMES,
+    CheckReport,
+    TOL,
+    _Fold,
     _witness,
     all_passed,
     check_combination_least_committed,
@@ -120,6 +123,8 @@ class TestIndividualChecks:
         report = check_commuting_implies_dempsterian(F3, samples=30, seed=6)
         assert report.passed
         assert report.instances == 60  # witness search doubles the count at n=3
+        # the witness search's deviations are large exactly when it passes
+        assert report.worst_deviation <= TOL
 
     def test_dempsterian_commutation_passes(self):
         report = check_dempsterian_commutation(default_frame(4), samples=50, seed=7)
@@ -172,10 +177,30 @@ class TestRunAll:
         with pytest.raises(FrameTooLargeError):
             run_all(sizes=(11,))
 
+    @pytest.mark.parametrize(
+        "sizes, checks",
+        [((7, 8), None), ((5,), ["conditioning-least-committed"]), ((1,), []), ((), None)],
+    )
+    def test_selection_that_runs_nothing_rejected(self, sizes, checks):
+        with pytest.raises(InputError, match="none of the sizes"):
+            run_all(sizes=sizes, checks=checks)
+
     def test_size_gates_skip_expensive_checks(self):
         reports = run_all(sizes=(5,), samples=10, seed=0)
         names = {r.check for r in reports}
         assert names == {"dempsterian-commutation", "eigenstructure", "dynamics-invariants"}
+
+
+class TestFold:
+    def test_report_rules(self):
+        fold = _Fold("x", 2)
+        fold.add(False, (0.5,), k=0)
+        # two failed sub-identities are one violating instance
+        fold.add(True, (2.0, 3.0), k=1)
+        fold.add(True, (4.0,), k=2)
+        # a violation without deviations, as in a witness search, leaves the worst alone
+        fold.add(True, k=3)
+        assert fold.report() == CheckReport("x", 2, 4, 3, 4.0, _witness("x", 2, k=1))
 
 
 class TestFaultInjection:
