@@ -52,6 +52,22 @@ def _frozen_vector(frame: Frame, values) -> np.ndarray:
     return out
 
 
+def _check_masses(values: np.ndarray) -> None:
+    """Raise unless each row of a ``(..., 2**n)`` stack is a bba.
+
+    A row passes with no mass below ``-VALIDATION_TOL`` and a sum within
+    ``VALIDATION_TOL`` of one; a non-finite row fails the sum test.
+    """
+    if values.min() < -VALIDATION_TOL:
+        raise NotABeliefFunctionError(
+            f"negative mass {values.min():.3e} at subset {int(values.argmin()) % values.shape[-1]}"
+        )
+    totals = np.ravel(values.sum(axis=-1))
+    bad = ~(np.abs(totals - 1.0) <= VALIDATION_TOL)
+    if bad.any():
+        raise NotABeliefFunctionError(f"masses sum to {float(totals[bad.argmax()])!r}, expected 1")
+
+
 @dataclass(frozen=True, eq=False)
 class MassFunction:
     """A basic belief assignment: non-negative masses summing to one.
@@ -65,13 +81,7 @@ class MassFunction:
 
     def __post_init__(self):
         out = _frozen_vector(self.frame, self.values)
-        if out.min() < -VALIDATION_TOL:
-            raise NotABeliefFunctionError(
-                f"negative mass {out.min():.3e} at subset {int(out.argmin())}"
-            )
-        total = float(out.sum())
-        if abs(total - 1.0) > VALIDATION_TOL:
-            raise NotABeliefFunctionError(f"masses sum to {total!r}, expected 1")
+        _check_masses(out)
         object.__setattr__(self, "values", out)
 
     @classmethod
@@ -135,12 +145,29 @@ class ValueFunction:
         return float(self.values[self.frame.check_subset(subset)])
 
 
+def _bel(a: np.ndarray) -> np.ndarray:
+    """Belief of each row of a ``(..., 2**n)`` mass stack."""
+    bel = lattice.zeta_subsets(a)
+    bel -= a[..., :1]
+    bel[..., 0] = 0.0
+    return bel
+
+
+def _pl_of_bel(bel: np.ndarray) -> np.ndarray:
+    """Plausibility of each row of a belief stack: the complement of ``A`` is the reversed index."""
+    pl = bel[..., -1:] - bel[..., ::-1]
+    pl[..., 0] = 0.0
+    return pl
+
+
+def _pl(a: np.ndarray) -> np.ndarray:
+    """Plausibility of each row of a ``(..., 2**n)`` mass stack."""
+    return _pl_of_bel(_bel(a))
+
+
 def bel_from_mass(m: MassFunction) -> ValueFunction:
     """Belief function of ``m``; the empty-set mass is never counted."""
-    b = lattice.zeta_subsets(m.values)
-    bel = b - m.values[0]
-    bel[0] = 0.0
-    return ValueFunction(m.frame, Kind.BELIEF, bel)
+    return ValueFunction(m.frame, Kind.BELIEF, _bel(m.values))
 
 
 def b_from_mass(m: MassFunction) -> ValueFunction:
@@ -149,7 +176,7 @@ def b_from_mass(m: MassFunction) -> ValueFunction:
 
 
 def pl_from_mass(m: MassFunction) -> ValueFunction:
-    return pl_from_bel(bel_from_mass(m))
+    return ValueFunction(m.frame, Kind.PLAUSIBILITY, _pl(m.values))
 
 
 def pl_from_bel(bel: ValueFunction, empty_mass: float | None = None) -> ValueFunction:
@@ -165,10 +192,7 @@ def pl_from_bel(bel: ValueFunction, empty_mass: float | None = None) -> ValueFun
         raise NotABeliefFunctionError(
             f"bel(full)={bel.values[-1]!r} inconsistent with m(empty)={empty_mass!r}"
         )
-    comp = np.arange(frame.size) ^ frame.full
-    pl = bel.values[-1] - bel.values[comp]
-    pl[0] = 0.0
-    return ValueFunction(frame, Kind.PLAUSIBILITY, pl)
+    return ValueFunction(frame, Kind.PLAUSIBILITY, _pl_of_bel(bel.values))
 
 
 def q_from_mass(m: MassFunction) -> ValueFunction:

@@ -30,7 +30,7 @@ from .dynamics import (
 )
 from .errors import InputError, PreconditionError
 from .lattice import Frame, require_same_frame
-from .verify import all_passed, format_reports, run_all
+from .verify import EXHAUSTIVE_CHECKS, all_passed, format_reports, run_all
 from .specialization import (
     conditioning_matrix,
     dempsterian_matrix,
@@ -158,6 +158,9 @@ def _cmd_check(args) -> int:
         inject_fault=args.inject_fault,
     )
     header = f"belief-dynamics checks: sizes={sizes} seed={args.seed} samples={args.samples or 'default'}"
+    exhaustive = [name for name in EXHAUSTIVE_CHECKS if any(r.check == name for r in reports)]
+    if args.samples is not None and exhaustive:
+        header += f" (ignored by exhaustive {', '.join(exhaustive)})"
     _emit(header + "\n" + format_reports(reports) + "\n", args.output)
     return 0 if all_passed(reports) else 1
 

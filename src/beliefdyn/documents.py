@@ -9,7 +9,9 @@ Subset keys join member labels with ``|`` in frame order (so no label may
 contain ``|``); the empty string is the empty set; a subset is listed at
 most once and unlisted subsets carry mass zero.  Converted
 representations use ``"kind"`` (bel / pl / q / b) and a dense ``"values"``
-map instead of ``"masses"``.  Output is canonical: keys in bitmask order,
+map instead of ``"masses"``.  A document has no other top-level key: a
+mass document with ``"kind"`` or ``"values"`` as well, or any unknown key,
+is an input error.  Output is canonical: keys in bitmask order,
 numbers rounded to 12 significant digits, the text of
 ``json.dumps(doc, indent=2)`` plus a newline.
 
@@ -37,6 +39,9 @@ from .lattice import Frame, _round12
 
 _ZERO_BELOW = 1e-12
 _ZERO_BUDGET = 1e-10
+# The top-level keys of each kind of document; any other key is an input error.
+_MASS_KEYS = ("frame", "masses")
+_VALUE_KEYS = ("frame", "kind", "values")
 
 
 def _key_table(frame: Frame) -> list[str]:
@@ -158,6 +163,13 @@ def parse_document(text: str) -> MassFunction | ValueFunction:
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
+    allowed = _MASS_KEYS if "masses" in doc else _VALUE_KEYS
+    extra = [key for key in doc if key not in allowed]
+    if extra:
+        kind = "mass" if "masses" in doc else "value"
+        raise InputError(
+            f"unexpected key {extra[0]!r} in a {kind} document; it allows only {', '.join(allowed)}"
+        )
     frame = _parse_frame(doc)
     if "masses" in doc:
         return MassFunction(frame, _parse_values(frame, doc["masses"], "masses"))

@@ -3,7 +3,10 @@
 Every rule here has an equivalent matrix formulation in
 :mod:`beliefdyn.specialization`; the implementations below are the direct
 O(2**n) or transform-based paths, and the agreement between the two routes
-is part of the verification suite.
+is part of the verification suite.  Each rule is a private array core over
+``(..., 2**n)`` stacks of mass vectors, which the verification suite
+evaluates over many instances at once; the public function validates its
+operands and wraps the core's single row.
 """
 
 from __future__ import annotations
@@ -11,9 +14,46 @@ from __future__ import annotations
 import numpy as np
 
 from . import lattice
-from .belief import MassFunction, normalize, q_from_mass
+from .belief import MassFunction, normalize
 from .errors import EvidenceNotContainedError, NonInvertibleEvidenceError
 from .lattice import DEFAULT_TOL, require_same_frame
+
+
+def _transfer(a: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` with its mass moved from ``X`` to ``targets[..., X]``, in one scatter.
+
+    ``targets`` is a fresh integer array shaped like ``a``; every row sums its
+    masses in increasing ``X`` order, so a row of a stack is bit for bit the
+    row on its own.
+    """
+    if a.ndim > 1:
+        targets += np.arange(0, a.size, a.shape[-1]).reshape(*a.shape[:-1], 1)
+    return np.bincount(targets.ravel(), a.ravel(), a.size).reshape(a.shape)
+
+
+def _condition(a: np.ndarray, c) -> np.ndarray:
+    """Rows of ``a`` conditioned on ``c`` (one subset, or one per row)."""
+    return _transfer(a, np.arange(a.shape[-1]) & np.asarray(c)[..., None])
+
+
+def _enlarge(a: np.ndarray, x) -> np.ndarray:
+    """Rows of ``a`` enlarged by ``x`` (one subset, or one per row)."""
+    return _transfer(a, np.arange(a.shape[-1]) | np.asarray(x)[..., None])
+
+
+def _conjunctive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise conjunctive combination of two mass stacks: the commonality product."""
+    return lattice.mobius_supersets(lattice.zeta_supersets(a) * lattice.zeta_supersets(b))
+
+
+def _disjunctive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise disjunctive combination of two mass stacks: the implicability product."""
+    return lattice.mobius_subsets(lattice.zeta_subsets(a) * lattice.zeta_subsets(b))
+
+
+def _retract(a: np.ndarray, q_evidence: np.ndarray) -> np.ndarray:
+    """Masses whose commonality is ``q(a) / q_evidence``, row-wise and unclipped."""
+    return lattice.mobius_supersets(lattice.zeta_supersets(a) / q_evidence)
 
 
 def condition(m: MassFunction, condition_set: int) -> MassFunction:
@@ -23,8 +63,7 @@ def condition(m: MassFunction, condition_set: int) -> MassFunction:
     empty set (conflict) rather than being renormalized away.
     """
     m.frame.check_subset(condition_set)
-    out = np.bincount(np.arange(m.frame.size) & condition_set, m.values, m.frame.size)
-    return MassFunction(m.frame, out)
+    return MassFunction(m.frame, _condition(m.values, condition_set))
 
 
 def combine_conjunctive(m0: MassFunction, m1: MassFunction) -> MassFunction:
@@ -35,8 +74,7 @@ def combine_conjunctive(m0: MassFunction, m1: MassFunction) -> MassFunction:
     ``X & Y = A``.
     """
     require_same_frame(m0, m1)
-    q01 = q_from_mass(m0).values * q_from_mass(m1).values
-    return MassFunction(m0.frame, lattice.mobius_supersets(q01))
+    return MassFunction(m0.frame, _conjunctive(m0.values, m1.values))
 
 
 def combine_normalized(m0: MassFunction, m1: MassFunction) -> MassFunction:
@@ -51,8 +89,7 @@ def combine_disjunctive(m0: MassFunction, m1: MassFunction) -> MassFunction:
     upward mirror of the commonality product.
     """
     require_same_frame(m0, m1)
-    b01 = lattice.zeta_subsets(m0.values) * lattice.zeta_subsets(m1.values)
-    return MassFunction(m0.frame, lattice.mobius_subsets(b01))
+    return MassFunction(m0.frame, _disjunctive(m0.values, m1.values))
 
 
 def retract(combined: MassFunction, evidence: MassFunction, tol: float = DEFAULT_TOL) -> MassFunction:
@@ -64,14 +101,13 @@ def retract(combined: MassFunction, evidence: MassFunction, tol: float = DEFAULT
     :class:`EvidenceNotContainedError` is raised.
     """
     require_same_frame(combined, evidence)
-    q_evidence = q_from_mass(evidence).values
+    q_evidence = lattice.zeta_supersets(evidence.values)
     if q_evidence.min() <= tol:
         worst = int(q_evidence.argmin())
         raise NonInvertibleEvidenceError(
             f"evidence commonality at subset {worst} is {q_evidence[worst]:.3e}, not invertible"
         )
-    q_rest = q_from_mass(combined).values / q_evidence
-    masses = lattice.mobius_supersets(q_rest)
+    masses = _retract(combined.values, q_evidence)
     if masses.min() < -tol:
         raise EvidenceNotContainedError(
             f"retraction yields mass {masses.min():.3e}; "
@@ -84,5 +120,4 @@ def retract(combined: MassFunction, evidence: MassFunction, tol: float = DEFAULT
 def enlarge(m: MassFunction, indiscernible: int) -> MassFunction:
     """Make the elements of a set indiscernible: each mass moves from ``X`` to ``X | set``."""
     m.frame.check_subset(indiscernible)
-    out = np.bincount(np.arange(m.frame.size) | indiscernible, m.values, m.frame.size)
-    return MassFunction(m.frame, out)
+    return MassFunction(m.frame, _enlarge(m.values, indiscernible))

@@ -100,18 +100,23 @@ def _subset_support(size: int) -> np.ndarray:
 
 
 def _transfer_rows(values: np.ndarray, op) -> np.ndarray:
-    """Matrix whose row ``A`` moves each mass from ``X`` to ``op(A, X)``, in one scatter.
+    """Matrices whose row ``A`` moves each mass from ``X`` to ``op(A, X)``, in one scatter.
 
-    Only nonzero masses are scattered, so a categorical ``values`` costs O(N)
-    for ``N = 2**n`` subsets.  Each entry still sums its masses in increasing
-    ``X`` order, so skipping zeros leaves every sum bit for bit the same.
+    ``values`` is a ``(..., N)`` stack for ``N = 2**n`` subsets; the result
+    is ``(..., N, N)``.  Only the subsets that carry mass in some row are
+    scattered, so a categorical ``values`` costs O(N).  Each entry still sums
+    its masses in increasing ``X`` order from +0.0, and adding a zero leaves
+    such a sum unchanged, so every matrix is bit for bit the one its row
+    gives on its own.
     """
-    size = values.size
+    size = values.shape[-1]
+    stack = values.reshape(-1, size)
     rows = np.arange(size)[:, None]
-    focal = np.flatnonzero(values)
-    target = op(rows, focal) + rows * size
-    weights = np.broadcast_to(values[focal], target.shape).ravel()
-    return np.bincount(target.ravel(), weights, size * size).reshape(size, size)
+    focal = np.flatnonzero(stack.any(axis=0))
+    target = op(rows, focal) + (np.arange(len(stack))[:, None, None] * size + rows) * size
+    weights = np.broadcast_to(stack[:, None, focal], target.shape).ravel()
+    out = np.bincount(target.ravel(), weights, stack.size * size)
+    return out.reshape(*values.shape, size)
 
 
 def conditioning_matrix(frame: Frame, condition_set: int) -> SpecializationMatrix:
@@ -133,22 +138,37 @@ def dempsterian_matrix(m: MassFunction) -> SpecializationMatrix:
     return SpecializationMatrix(frame, _transfer_rows(m.values, np.bitwise_and))
 
 
+def _valid(v: np.ndarray, tol: float, upward: bool = False) -> np.ndarray:
+    """Per matrix of a ``(..., N, N)`` stack: the specialization invariants.
+
+    Entries at least ``-tol`` (and at most ``1 + tol``), row sums within
+    ``tol`` of one, nothing beyond ``tol`` off the support.  ``upward`` tests
+    the generalization invariants instead: the support transposed and no
+    upper bound on entries.  A NaN entry fails.
+    """
+    ok = (v.min(axis=(-2, -1)) >= -tol) & (np.abs(v.sum(axis=-1) - 1.0).max(axis=-1) <= tol)
+    if not upward:
+        ok &= v.max(axis=(-2, -1)) <= 1.0 + tol
+    outside = ~_subset_support(v.shape[-1])
+    off = v[np.broadcast_to(outside.T if upward else outside, v.shape)]
+    # in place: a second large temporary costs a fresh allocation at the matrix cap
+    return ok & (np.abs(off, out=off).reshape(*v.shape[:-2], -1).max(axis=-1, initial=0.0) <= tol)
+
+
 def is_valid_specialization(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> bool:
     """Check row sums of one, entries in [0, 1], support only on subsets."""
-    v = s.values
-    if (v < -tol).any() or (v > 1.0 + tol).any():
-        return False
-    if np.abs(v.sum(axis=1) - 1.0).max() > tol:
-        return False
-    return bool(np.abs(v[~_subset_support(s.frame.size)]).max(initial=0.0) <= tol)
+    return bool(_valid(s.values, tol))
 
 
 def is_valid_generalization(g: GeneralizationMatrix, tol: float = DEFAULT_TOL) -> bool:
-    v = g.values
-    if (v < -tol).any() or np.abs(v.sum(axis=1) - 1.0).max() > tol:
-        return False
-    # support transposed relative to specialization: A must be a subset of B
-    return bool(np.abs(v[~_subset_support(g.frame.size).T]).max(initial=0.0) <= tol)
+    return bool(_valid(g.values, tol, upward=True))
+
+
+def _is_dempsterian(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per matrix of a stack: valid, and every row the top row conditioned on the row's subset."""
+    ok = _valid(v, tol)
+    gap = v - _transfer_rows(v[..., -1, :], np.bitwise_and)
+    return ok & (np.abs(gap, out=gap).max(axis=(-2, -1)) <= tol)
 
 
 def is_dempsterian(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> bool:
@@ -158,27 +178,32 @@ def is_dempsterian(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> bool:
     function; it is checked deterministically rather than by searching for
     commutation witnesses.
     """
-    if not is_valid_specialization(s, tol):
-        return False
-    rebuilt = _transfer_rows(s.values[-1], np.bitwise_and)
-    return bool(np.abs(s.values - rebuilt).max() <= tol)
+    return bool(_is_dempsterian(s.values, tol))
+
+
+def _apply(a: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL, upward: bool = False) -> np.ndarray:
+    """Each row of ``a`` times its matrix of ``v`` (``(..., N)`` by ``(..., N, N)``).
+
+    Every matrix is first checked with :func:`_valid`; one that fails raises
+    :class:`InvalidSpecializationError`.
+    """
+    if not _valid(v, tol, upward).all():
+        kind = "generalization" if upward else "specialization"
+        raise InvalidSpecializationError(f"matrix violates the {kind} invariants")
+    return (a[..., None, :] @ v)[..., 0, :]
 
 
 def apply(m: MassFunction, s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> MassFunction:
     """Specialize ``m`` by ``s`` (row-vector product ``m . s``)."""
     require_same_frame(m, s)
-    if not is_valid_specialization(s, tol):
-        raise InvalidSpecializationError("matrix violates the specialization invariants")
-    return MassFunction(m.frame, m.values @ s.values)
+    return MassFunction(m.frame, _apply(m.values, s.values, tol))
 
 
 def apply_generalization(
     m: MassFunction, g: GeneralizationMatrix, tol: float = DEFAULT_TOL
 ) -> MassFunction:
     require_same_frame(m, g)
-    if not is_valid_generalization(g, tol):
-        raise InvalidSpecializationError("matrix violates the generalization invariants")
-    return MassFunction(m.frame, m.values @ g.values)
+    return MassFunction(m.frame, _apply(m.values, g.values, tol, upward=True))
 
 
 def apply_despecialization(

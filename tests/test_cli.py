@@ -167,6 +167,26 @@ class TestDocuments:
             with pytest.raises(InputError, match="twice|listed before"):
                 parse_document(text)
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            # with both kinds of entry, either reading would drop the other's values
+            ({"frame": ["a", "b"], "masses": {"a": 1.0}, "kind": "q",
+              "values": {"": 1.0, "a": 1.0, "b": 0.0, "a|b": 0.0}}, "kind"),
+            ({"frame": ["a", "b"], "masses": {"a": 1.0}, "values": {"a": 1.0}}, "values"),
+            ({"frame": ["a", "b"], "masses": {"a": 1.0}, "bogus": 1}, "bogus"),
+            ({"frame": ["a"], "kind": "b", "values": {"": 0.0, "a": 1.0}, "masses2": {}}, "masses2"),
+        ],
+    )
+    def test_ambiguous_or_unknown_top_level_key_rejected(self, doc, key):
+        with pytest.raises(InputError, match=f"unexpected key '{key}'"):
+            parse_document(json.dumps(doc))
+
+    def test_writers_emit_only_allowed_keys(self):
+        m = MassFunction(default_frame(2), [0.1, 0.2, 0.3, 0.4])
+        assert list(json.loads(format_mass_document(m))) == ["frame", "masses"]
+        assert list(json.loads(format_value_document(q_from_mass(m)))) == ["frame", "kind", "values"]
+
     def test_separator_in_label_rejected_on_read(self):
         with pytest.raises(InputError, match="separator"):
             parse_document('{"frame":["x|y","z"],"masses":{"z":1.0}}')
@@ -212,6 +232,14 @@ class TestConvert:
     def test_invalid_mass_file_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", {"frame": ["a"], "masses": {"a": 0.4}})
         assert main(["convert", path, "--to", "bel"]) == 2
+
+    @pytest.mark.parametrize("extra", [{"kind": "bel"}, {"bogus": [1]}])
+    def test_ambiguous_or_unknown_key_is_input_error(self, tmp_path, extra, capsys):
+        path = write(tmp_path, "amb.json", {**PARTIAL, **extra})
+        assert main(["convert", path, "--to", "bel"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unexpected key '{next(iter(extra))}'" in captured.err
 
     def test_subset_listed_twice_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path, "dup.json",
@@ -359,6 +387,21 @@ class TestCheckCommand:
             '"m":[0.0,1.0,0.0,0.0],"n":2,"reconstruction_deviation":0.001}'
         )
         assert f"    witness: {witness}\n" in out
+
+    def test_samples_header_names_the_exhaustive_check(self, capsys):
+        # conditioning-idempotent enumerates its 20 instances at n=2 whatever --samples says
+        assert main(["check", "--samples", "3", "--theorems", "conditioning-idempotent", "--n", "2"]) == 0
+        out = capsys.readouterr().out
+        header = "belief-dynamics checks: sizes=[2] seed=0 samples=3"
+        assert out.splitlines()[0] == f"{header} (ignored by exhaustive conditioning-idempotent)"
+        assert "instances=   20" in out
+        # without the exhaustive check, or without --samples, the header has no note
+        assert main(["check", "--samples", "3", "--theorems", "eigenstructure", "--n", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == header
+        assert main(["check", "--theorems", "conditioning-idempotent", "--n", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "belief-dynamics checks: sizes=[2] seed=0 samples=default"
+        )
 
     def test_check_selection_flag(self, capsys):
         assert main(["check", "--n", "2", "--samples", "10",

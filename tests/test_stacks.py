@@ -1,0 +1,279 @@
+"""The stacked evaluation of the checks speaks for the public API.
+
+Each rule's private array core must give, on every row of a stack, the bits
+the public function gives on that row alone; and a fault planted in a core
+must fail its check with a witness that replays through the public
+functions on its own.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from beliefdyn import belief, dynamics, specialization, verify
+from beliefdyn.belief import MassFunction, bel_from_mass, pl_from_bel, pl_from_mass, q_from_mass
+from beliefdyn.dynamics import (
+    combine_conjunctive,
+    combine_disjunctive,
+    condition,
+    enlarge,
+    retract,
+)
+from beliefdyn.errors import EvidenceNotContainedError, InvalidSpecializationError, NotABeliefFunctionError
+from beliefdyn.lattice import default_frame, zeta_supersets
+from beliefdyn.specialization import (
+    GeneralizationMatrix,
+    SpecializationMatrix,
+    apply,
+    apply_generalization,
+    commute_check,
+    conditioning_matrix,
+    dempsterian_matrix,
+    disjunctive_matrix,
+    enlargement_matrix,
+    is_dempsterian,
+    is_valid_generalization,
+    is_valid_specialization,
+)
+
+SIZES = [1, 2, 3, 4, 5, 6]
+K = 9
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stack(n: int, seed: int):
+    """``K`` sampled bbas on a frame of ``n`` elements, as rows and as MassFunctions."""
+    frame = default_frame(n)
+    rows = verify._random_masses(frame.size, K, np.random.default_rng(seed))
+    return frame, rows, [MassFunction(frame, r) for r in rows]
+
+
+@pytest.mark.parametrize("n", SIZES)
+class TestCoresEqualPublicRowByRow:
+    def test_condition_and_enlarge(self, n):
+        frame, a, ms = stack(n, 1)
+        subsets = np.random.default_rng(2).integers(frame.size, size=K)
+        cond, enl = dynamics._condition(a, subsets), dynamics._enlarge(a, subsets)
+        for i, m in enumerate(ms):
+            assert same_bits(cond[i], condition(m, int(subsets[i])).values)
+            assert same_bits(enl[i], enlarge(m, int(subsets[i])).values)
+
+    def test_combinations(self, n):
+        frame, a, ms0 = stack(n, 3)
+        _, b, ms1 = stack(n, 4)
+        conj, disj = dynamics._conjunctive(a, b), dynamics._disjunctive(a, b)
+        for i in range(K):
+            assert same_bits(conj[i], combine_conjunctive(ms0[i], ms1[i]).values)
+            assert same_bits(disj[i], combine_disjunctive(ms0[i], ms1[i]).values)
+
+    def test_retract(self, n):
+        frame, a, ms = stack(n, 5)
+        _, e, _ = stack(n, 6)
+        e = 0.9 * e + 0.1 * np.eye(frame.size)[-1]
+        combined = dynamics._conjunctive(a, e)
+        rest = np.clip(dynamics._retract(combined, zeta_supersets(e)), 0.0, None)
+        for i in range(K):
+            evidence = MassFunction(frame, e[i])
+            assert same_bits(rest[i], retract(MassFunction(frame, combined[i]), evidence).values)
+
+    def test_belief_and_plausibility(self, n):
+        frame, a, ms = stack(n, 7)
+        bel, pl = belief._bel(a), belief._pl(a)
+        for i, m in enumerate(ms):
+            assert same_bits(bel[i], bel_from_mass(m).values)
+            assert same_bits(pl[i], pl_from_mass(m).values)
+            assert same_bits(pl[i], pl_from_bel(bel_from_mass(m)).values)
+
+    def test_matrix_builders(self, n):
+        frame, a, ms = stack(n, 8)
+        dempsterian = specialization._transfer_rows(a, np.bitwise_and)
+        disjunctive = specialization._transfer_rows(a, np.bitwise_or)
+        for i, m in enumerate(ms):
+            assert same_bits(dempsterian[i], dempsterian_matrix(m).values)
+            assert same_bits(disjunctive[i], disjunctive_matrix(m).values)
+        # rows of the identity are the categorical masses of the two one-hot builders
+        conditioning = specialization._transfer_rows(np.eye(frame.size), np.bitwise_and)
+        enlargement = specialization._transfer_rows(np.eye(frame.size), np.bitwise_or)
+        for c in range(frame.size):
+            assert same_bits(conditioning[c], conditioning_matrix(frame, c).values)
+            assert same_bits(enlargement[c], enlargement_matrix(frame, c).values)
+
+    def test_apply(self, n):
+        frame, a, ms = stack(n, 9)
+        _, b, _ = stack(n, 10)
+        s = specialization._transfer_rows(b, np.bitwise_and)
+        g = specialization._transfer_rows(b, np.bitwise_or)
+        spec, gen = specialization._apply(a, s), specialization._apply(a, g, upward=True)
+        for i, m in enumerate(ms):
+            assert same_bits(spec[i], apply(m, SpecializationMatrix(frame, s[i])).values)
+            assert same_bits(gen[i], apply_generalization(m, GeneralizationMatrix(frame, g[i])).values)
+
+    def test_validity_and_dempsterian_tests(self, n):
+        frame, a, _ = stack(n, 11)
+        v = specialization._transfer_rows(a, np.bitwise_and)
+        # valid but not Dempsterian, off the support, not stochastic, NaN
+        v[1, -1] = 0.5 * v[1, -1] + 0.5 * np.eye(frame.size)[0]
+        v[2, 0, -1] = 1e-3
+        v[3, -1, -1] += 1e-3
+        v[4, -1, -1] = np.nan
+        valid, dempsterian = specialization._valid(v, 1e-9), specialization._is_dempsterian(v)
+        gen = specialization._transfer_rows(a, np.bitwise_or)
+        gen[5, 0, 0] -= 1e-3
+        valid_gen = specialization._valid(gen, 1e-9, upward=True)
+        for i in range(K):
+            assert valid[i] == is_valid_specialization(SpecializationMatrix(frame, v[i]))
+            assert dempsterian[i] == is_dempsterian(SpecializationMatrix(frame, v[i]))
+            assert valid_gen[i] == is_valid_generalization(GeneralizationMatrix(frame, gen[i]))
+        assert not valid[3] and not valid[4] and not valid_gen[5]
+        assert valid[0] and dempsterian[0] and valid[1] and not valid[2]
+
+    def test_double_sum_is_the_loop_order_scatter(self, n):
+        _, a, _ = stack(n, 12)
+        _, b, _ = stack(n, 13)
+        idx = np.arange(a.shape[1])
+        for op in (np.bitwise_and, np.bitwise_or):
+            out = verify._double_sum(a, b, op)
+            for i in range(K):
+                ref = np.zeros(a.shape[1])
+                np.add.at(ref, op(idx[:, None], idx), np.multiply.outer(a[i], b[i]))
+                assert same_bits(out[i], ref)
+
+
+def test_sampled_masses_pass_the_mass_function_rules():
+    for n in SIZES:
+        _, rows, ms = stack(n, 14)
+        assert all(same_bits(r, m.values) for r, m in zip(rows, ms))
+    with pytest.raises(NotABeliefFunctionError, match="sum"):
+        belief._check_masses(np.array([[0.5, 0.5], [0.5, np.nan]]))
+    with pytest.raises(NotABeliefFunctionError, match="negative mass .* at subset 1"):
+        belief._check_masses(np.array([[0.5, 0.5], [1.5, -0.5]]))
+
+
+# ---------------------------------------------------------------------------
+# planted faults: each fails its check, and the first witness replays alone
+
+def patch(monkeypatch, name, module, fault):
+    """Plant ``fault`` for the core ``name`` wherever it is bound."""
+    for owner in (module, verify):
+        if hasattr(owner, name):
+            monkeypatch.setattr(owner, name, fault)
+
+
+def failed_witness(report) -> dict:
+    assert not report.passed and report.violations >= 1
+    witness = json.loads(report.witness)
+    assert witness["check"] == report.check and witness["n"] == report.n
+    return witness
+
+
+def leak_top_row(real):
+    """A matrix builder whose mass-built matrices move 1e-3 of the top row from full to empty."""
+    def fault(values, op):
+        out = real(values, op)
+        if not np.isin(values, (0.0, 1.0)).all():  # the conditioning matrices stay exact
+            out[..., -1, -1] -= 1e-3
+            out[..., -1, 0] += 1e-3
+        return out
+    return fault
+
+
+def mix_vacuous(real):
+    """A conjunctive rule that mixes 0.1 % of the vacuous mass into every result."""
+    def fault(a, b):
+        return 0.999 * real(a, b) + 0.001 * np.eye(a.shape[-1])[-1]
+    return fault
+
+
+F3 = default_frame(3)
+
+
+def test_fault_in_condition_fails_conditioning_least_committed(monkeypatch):
+    real = dynamics._condition
+    patch(monkeypatch, "_condition", dynamics, lambda a, c: real(a, np.asarray(c) & ~1))
+    w = failed_witness(verify.check_conditioning_least_committed(F3, samples=40, seed=1))
+    m, s = MassFunction(F3, w["m"]), SpecializationMatrix(F3, w["S"])
+    pl_alt = pl_from_mass(apply(m, s)).values
+    dev = max(pl_alt[F3.full ^ w["C"]], (pl_alt - pl_from_mass(condition(m, w["C"])).values).max())
+    assert dev > verify.TOL and dev == pytest.approx(w["deviation"], abs=1e-9)
+
+
+def test_fault_in_builder_fails_conditioning_idempotent(monkeypatch):
+    real = specialization._transfer_rows
+    patch(monkeypatch, "_transfer_rows", specialization, lambda v, op: 0.999 * real(v, op))
+    w = failed_witness(verify.check_conditioning_idempotent(F3))
+    s = conditioning_matrix(F3, w["C"]).values
+    assert np.abs(s @ s - s).max() == pytest.approx(w["deviation"]) and w["deviation"] > 0.0
+
+
+def test_fault_in_builder_fails_commuting_implies_dempsterian(monkeypatch):
+    patch(monkeypatch, "_transfer_rows", specialization, leak_top_row(specialization._transfer_rows))
+    w = failed_witness(verify.check_commuting_implies_dempsterian(F3, samples=20, seed=2))
+    s = SpecializationMatrix(F3, w["S"])
+    dev = max(commute_check(s, conditioning_matrix(F3, c))[1] for c in range(F3.size))
+    assert dev > verify.TOL and dev == pytest.approx(w["deviation"], abs=1e-9)
+
+
+def test_fault_in_conjunctive_fails_dempsterian_commutation(monkeypatch):
+    patch(monkeypatch, "_conjunctive", dynamics, mix_vacuous(dynamics._conjunctive))
+    w = failed_witness(verify.check_dempsterian_commutation(F3, samples=20, seed=3))
+    m1, m2 = MassFunction(F3, w["m1"]), MassFunction(F3, w["m2"])
+    product = dempsterian_matrix(m1).values @ dempsterian_matrix(m2).values
+    dev = np.abs(product - dempsterian_matrix(combine_conjunctive(m1, m2)).values).max()
+    assert dev > verify.TOL and dev == pytest.approx(w["deviation"], abs=1e-9)
+
+
+def test_fault_in_conjunctive_fails_combination_least_committed(monkeypatch):
+    patch(monkeypatch, "_conjunctive", dynamics, mix_vacuous(dynamics._conjunctive))
+    w = failed_witness(verify.check_combination_least_committed(F3, samples=20, seed=4))
+    m0, m = MassFunction(F3, w["m0"]), MassFunction(F3, w["m"])
+    dev = np.abs(apply(m, dempsterian_matrix(m0)).values - combine_conjunctive(m, m0).values).max()
+    assert dev > verify.TOL_EXACT and dev == pytest.approx(w["equality_deviation"], abs=1e-9)
+
+
+def test_fault_in_builder_fails_eigenstructure(monkeypatch):
+    patch(monkeypatch, "_transfer_rows", specialization, leak_top_row(specialization._transfer_rows))
+    w = failed_witness(verify.check_eigen_structure(F3, samples=20, seed=5))
+    m = MassFunction(F3, w["m"])
+    dev = np.abs(np.diag(dempsterian_matrix(m).values) - q_from_mass(m).values).max()
+    assert dev > verify.TOL_EXACT and dev == pytest.approx(w["diagonal_deviation"], abs=1e-9)
+
+
+def test_fault_in_enlarge_fails_dynamics_invariants(monkeypatch):
+    real = dynamics._enlarge
+    patch(monkeypatch, "_enlarge", dynamics, lambda a, x: real(a, np.asarray(x) | 1))
+    w = failed_witness(verify.check_dynamics_invariants(F3, samples=40, seed=6))
+    assert set(w["failed"]) == {"enlarge-invariance"}
+    enlarged = enlarge(MassFunction(F3, w["m0"]), w["A"])
+    x, y = w["X"], w["Y"]
+    dev = np.abs(condition(enlarged, x | y).values - enlarge(condition(enlarged, x), y).values).max()
+    assert dev > verify.TOL and dev == pytest.approx(w["failed"]["enlarge-invariance"], abs=1e-9)
+
+
+def test_rejected_retraction_counts_as_a_violation(monkeypatch):
+    # a retraction that public retract refuses is never clipped into a pass
+    real = dynamics._retract
+    patch(monkeypatch, "_retract", dynamics, lambda a, q: real(a, q) - np.eye(a.shape[-1])[1])
+    report = verify.check_dynamics_invariants(F3, samples=30, seed=7)
+    w = failed_witness(report)
+    assert report.violations == 30 and report.worst_deviation == np.inf
+    assert w["failed"] == {"retract-round-trip": np.inf}
+    m0, m1 = MassFunction(F3, w["m0"]), MassFunction(F3, w["m1"])
+    safe = MassFunction(F3, 0.9 * m1.values + 0.1 * np.eye(F3.size)[-1])
+    with pytest.raises(EvidenceNotContainedError):
+        retract(combine_conjunctive(m0, safe), safe)
+
+
+def test_invalid_sampled_matrices_raise(monkeypatch):
+    # sampled matrices are checked by the is_valid_specialization rules once per stack
+    real = verify._random_rows
+    monkeypatch.setattr(verify, "_random_rows", lambda support, rng: 1.5 * real(support, rng))
+    frame = default_frame(2)
+    for check in (verify.check_conditioning_least_committed, verify.check_commuting_implies_dempsterian,
+                  verify.check_combination_least_committed):
+        with pytest.raises(InvalidSpecializationError, match="specialization invariants"):
+            check(frame, samples=3)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,24 @@ class TestSamplers:
         assert is_valid_specialization(s)
         assert np.array_equal(s.values, np.eye(8)[[0] * 8])
 
+    def test_dominated_specialization_memory_is_bounded(self):
+        # one candidate per pending row a round, in row blocks: far below a single
+        # (2**n, 41, 2**n) block of all candidates, which takes 21 MB at n=8
+        frame = default_frame(8)
+        rng = np.random.default_rng(5)
+        anchor = random_mass(frame, rng)
+        tracemalloc.start()
+        try:
+            s = dominated_specialization(frame, anchor, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert is_valid_specialization(s)
+        pl0 = pl_from_mass(anchor).values
+        for row in s.values:
+            assert (pl_from_mass(MassFunction(frame, row)).values <= pl0 + 1e-9).all()
+
 
 class TestIndividualChecks:
     def test_conditioning_least_committed_passes(self):
@@ -149,6 +168,13 @@ class TestRunAll:
         assert all_passed(reports)
         assert {r.check for r in reports} == set(CHECK_NAMES)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_defaults_pass_for_seeds_0_to_9(self, seed):
+        # guards the stacked draws: every report of the default suite passes at every seed
+        reports = run_all(seed=seed)
+        assert all_passed(reports), format_reports(reports)
+        assert sum(r.instances for r in reports) == 6970
+
     def test_deterministic_per_seed(self):
         first = run_all(sizes=(2,), samples=25, seed=11)
         second = run_all(sizes=(2,), samples=25, seed=11)
@@ -194,13 +220,33 @@ class TestRunAll:
 class TestFold:
     def test_report_rules(self):
         fold = _Fold("x", 2)
-        fold.add(False, (0.5,), k=0)
+        fold.add([False], ([0.5],), k=[0])
         # two failed sub-identities are one violating instance
-        fold.add(True, (2.0, 3.0), k=1)
-        fold.add(True, (4.0,), k=2)
+        fold.add([True, True], ([2.0, 4.0], [3.0, 1.0]), k=[1, 2])
         # a violation without deviations, as in a witness search, leaves the worst alone
-        fold.add(True, k=3)
+        fold.add([True], k=[3])
         assert fold.report() == CheckReport("x", 2, 4, 3, 4.0, _witness("x", 2, k=1))
+
+    def test_first_violating_row_of_a_stack_is_the_witness(self):
+        fold = _Fold("x", 1)
+        fold.add([False, False, True, True], ([0.1, 0.2, 0.9, 0.3],), k=np.arange(4),
+                 m=np.eye(4), lazy=lambda i: {"row": i})
+        assert fold.report() == CheckReport(
+            "x", 1, 4, 2, 0.9, _witness("x", 1, k=2, m=np.eye(4)[2], lazy={"row": 2})
+        )
+
+    @pytest.mark.parametrize("first", [0.5, np.nan])
+    def test_nan_deviation_is_a_violation_and_the_worst(self, first):
+        # a NaN fails every ``dev > tol`` test, so the violation flag alone would pass it
+        fold = _Fold("x", 1)
+        fold.add([False], ([first],), k=[0])
+        nan = np.nan
+        fold.add(np.array([nan, 0.1]) > 1.0, ([nan, 0.1],), k=[1, 2])
+        fold.add([False], ([0.7],), k=[3])
+        report = fold.report()
+        assert report.instances == 4 and report.violations == 1 + int(np.isnan(first))
+        assert np.isnan(report.worst_deviation) and not report.passed
+        assert json.loads(report.witness)["k"] == (0 if np.isnan(first) else 1)
 
 
 class TestFaultInjection:
