@@ -41,7 +41,10 @@ class Kind(str, enum.Enum):
 
 
 def _frozen_vector(frame: Frame, values) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
+    out = np.asarray(values)
+    if np.iscomplexobj(out):
+        raise NotABeliefFunctionError("values must be real, got complex values")
+    out = np.array(out, dtype=np.float64)
     if out.shape != (frame.size,):
         raise NotABeliefFunctionError(
             f"expected {frame.size} values for a frame of {frame.n} elements, got shape {out.shape}"

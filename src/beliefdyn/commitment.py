@@ -14,7 +14,7 @@ import enum
 import numpy as np
 
 from . import lattice
-from .belief import MassFunction, pl_from_mass
+from .belief import MassFunction, _pl
 from .lattice import DEFAULT_TOL, require_same_frame
 
 
@@ -45,9 +45,9 @@ def compare(m1: MassFunction, m2: MassFunction, tol: float = DEFAULT_TOL) -> Ord
     floating-point ties never turn EQUAL into a strict ordering.
     """
     require_same_frame(m1, m2)
-    pl1 = pl_from_mass(m1).values
-    pl2 = pl_from_mass(m2).values
-    return _classify(pl1 - pl2, tol)
+    excess = _pl(m1.values)
+    excess -= _pl(m2.values)
+    return _classify(excess, tol)
 
 
 def compare_bel_form(m1: MassFunction, m2: MassFunction, tol: float = DEFAULT_TOL) -> Ordering:

@@ -6,10 +6,23 @@ and ``2**n - 1`` is the full frame.  Vectors indexed by subsets are plain
 ``numpy`` arrays of length ``2**n`` in bitmask order.  The transforms act
 on the last axis, so a ``(..., 2**n)`` array is a stack of such vectors
 transformed in one call.
+
+Each transform is a butterfly of ``n`` passes: pass ``i`` adds (or
+subtracts) every entry whose bit ``i`` is clear into its partner with that
+bit set, or the other way round for supersets.  Below ``2**FUSED_ORDER``
+entries the passes run one by one.  From ``2**FUSED_ORDER`` entries on, the
+first ``LOW_BITS`` passes, whose inner runs of 1 to 16 entries make slow
+sweeps over memory, run as one ``(M, 32) @ (32, 32)`` product with the
+0/±1 matrix of those passes; the other passes run one by one.  The product
+adds in another order, so its results can differ from the pass-by-pass
+ones in the last bit (a few 1e-16 of the largest entry); exact 0/1 inputs
+stay exact.  A row holding a non-finite value goes pass by pass, because
+the product would turn ``inf * 0`` into NaN.
 """
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 from typing import Iterable
@@ -111,7 +124,11 @@ def popcounts(size: int) -> np.ndarray:
 
 
 def _checked(values) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
+    """``values`` as a float64 array, not copied if it already is one."""
+    out = np.asarray(values)
+    if np.iscomplexobj(out):
+        raise ValueError("lattice vectors must be real, got complex values")
+    out = out.astype(np.float64, copy=False)
     if out.ndim == 0 or out.shape[-1] == 0 or out.shape[-1] & (out.shape[-1] - 1):
         raise ValueError("lattice vector length must be a power of two")
     return out
@@ -125,17 +142,49 @@ def order_of(size: int) -> int:
     return n
 
 
-def _butterfly(values, upward: bool, op) -> np.ndarray:
-    """Butterfly along the last axis: ``upward`` sums over subsets, else over supersets.
-
-    ``op`` is ``np.add`` for the zeta transforms and ``np.subtract`` for their inverses.
-    """
-    out = _checked(values)
+def _passes(out: np.ndarray, upward: bool, op, first: int) -> np.ndarray:
+    """Butterfly passes ``first .. n-1`` along the last axis of ``out``, in place."""
     size = out.shape[-1]
-    for i in range(order_of(size)):
+    for i in range(first, order_of(size)):
         v = out.reshape(*out.shape[:-1], size >> (i + 1), 2, 1 << i)
         src, dst = (v[..., 0, :], v[..., 1, :]) if upward else (v[..., 1, :], v[..., 0, :])
         op(dst, src, out=dst)
+    return out
+
+
+# From 2**FUSED_ORDER entries on, the first LOW_BITS passes are one product.
+# Every such product has at least 128 rows, where a row's result does not
+# depend on how many rows share the call; smaller ones can differ.
+FUSED_ORDER = 12
+LOW_BITS = 5
+
+
+@functools.cache
+def _low_matrix(upward: bool, op) -> np.ndarray:
+    """The first ``LOW_BITS`` passes as a matrix acting on rows, built on first use."""
+    out = _passes(np.eye(1 << LOW_BITS), upward, op, 0)
+    out.flags.writeable = False
+    return out
+
+
+def _butterfly(values, upward: bool, op) -> np.ndarray:
+    """Butterfly along the last axis: ``upward`` sums over subsets, else over supersets.
+
+    ``op`` is ``np.add`` for the zeta transforms and ``np.subtract`` for their
+    inverses.  Below ``2**FUSED_ORDER`` entries every pass runs on a copy of
+    the input.  From there on, the first ``LOW_BITS`` passes are one product
+    with :func:`_low_matrix`, which writes a fresh array, and the other passes
+    run on that; rows holding a non-finite value are redone pass by pass.
+    """
+    x = _checked(values)
+    if x.shape[-1] < 1 << FUSED_ORDER:
+        return _passes(np.array(x), upward, op, 0)
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf, in rows redone below
+        out = (x.reshape(-1, 1 << LOW_BITS) @ _low_matrix(upward, op)).reshape(x.shape)
+        bad = ~np.isfinite(x.sum(axis=-1))
+    _passes(out, upward, op, LOW_BITS)
+    if bad.any():
+        out[bad] = _passes(x[bad], upward, op, 0)
     return out
 
 

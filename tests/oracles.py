@@ -24,6 +24,29 @@ def naive_zeta_supersets(f):
     return np.array([sum(f[b] for b in range(f.size) if is_subset(a, b)) for a in range(f.size)])
 
 
+def plain_butterfly(f, upward, subtract):
+    """Subset (``upward``) or superset sums along the last axis, one pass per bit.
+
+    With ``subtract`` the passes subtract, which inverts the sums.  Each pass
+    gathers and scatters through index arrays, so it shares no code with the
+    library's kernel; it is O(n 2**n) and serves the frames too large for
+    the quadratic oracles.
+    """
+    out = np.array(f, dtype=float)
+    size = out.shape[-1]
+    idx = np.arange(size)
+    bit = 1
+    while bit < size:
+        high = idx[idx & bit != 0]
+        src, dst = (high ^ bit, high) if upward else (high, high ^ bit)
+        if subtract:
+            out[..., dst] -= out[..., src]
+        else:
+            out[..., dst] += out[..., src]
+        bit <<= 1
+    return out
+
+
 def naive_mobius_subsets(g):
     g = np.asarray(g, dtype=float)
     return np.array(

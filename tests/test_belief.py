@@ -49,6 +49,15 @@ class TestValidation:
         values[0] = -1e-13
         MassFunction(F3, values)
 
+    def test_complex_values_rejected(self):
+        # a complex array used to be read as {}:0.5, {a}:0.5 with only a
+        # ComplexWarning, and a list of them raised a bare TypeError
+        for values in (np.array([0.5 + 3j, 0.5]), [0.5 + 3j, 0.5]):
+            with pytest.raises(NotABeliefFunctionError, match="complex"):
+                MassFunction(default_frame(1), values)
+        with pytest.raises(NotABeliefFunctionError, match="complex"):
+            ValueFunction(default_frame(1), Kind.COMMONALITY, np.array([1.0, 0.5j]))
+
     def test_values_are_immutable(self):
         m = vacuous(F3)
         with pytest.raises(ValueError):

@@ -15,7 +15,15 @@ from beliefdyn.documents import (
 )
 from beliefdyn.errors import InputError
 from beliefdyn.lattice import Frame, default_frame
-from beliefdyn.belief import Kind, MassFunction, ValueFunction, bel_from_mass, q_from_mass
+from beliefdyn.belief import (
+    Kind,
+    MassFunction,
+    ValueFunction,
+    bel_from_mass,
+    mass_from,
+    pl_from_mass,
+    q_from_mass,
+)
 from beliefdyn.verify import random_mass
 from oracles import reference_document
 
@@ -139,6 +147,18 @@ class TestDocuments:
         assert np.array_equal(parse_document(format_mass_document(m)).values, m.values)
         q = ValueFunction(default_frame(1), Kind.COMMONALITY, [1.0 - 9.999999999e-10, 0.5])
         assert np.array_equal(parse_document(format_value_document(q)).values, q.values)
+
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_plausibility_document_converts_back_at_the_frame_cap(self, n):
+        # the inversion adds up 2**n rounding errors of the 12-digit values;
+        # at n=20 the worst mass error is about half the reader's 1e-9 bound
+        rng = np.random.default_rng(n)
+        values = np.zeros(1 << n)
+        focal = rng.choice(1 << n, size=1 << (n - 2), replace=False)
+        values[focal] = rng.pareto(1.0, focal.size)
+        m = MassFunction(default_frame(n), values / values.sum())
+        back = mass_from(parse_document(format_value_document(pl_from_mass(m))))
+        assert np.abs(back.values - m.values).max() <= 1e-9
 
     def test_parse_print_round_trip(self):
         rng = np.random.default_rng(0)

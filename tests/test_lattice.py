@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 
 from beliefdyn.errors import FrameMismatchError, FrameTooLargeError
 from beliefdyn.lattice import (
+    FUSED_ORDER,
     Frame,
     default_frame,
     mobius_subsets,
@@ -14,7 +20,23 @@ from beliefdyn.lattice import (
     zeta_subsets,
     zeta_supersets,
 )
-from oracles import naive_mobius_subsets, naive_zeta_subsets, naive_zeta_supersets
+from oracles import (
+    naive_mobius_subsets,
+    naive_zeta_subsets,
+    naive_zeta_supersets,
+    plain_butterfly,
+)
+
+TRANSFORMS = [zeta_subsets, mobius_subsets, zeta_supersets, mobius_supersets]
+# (upward, subtract) of each transform, as plain_butterfly takes them
+ROUTES = {
+    zeta_subsets: (True, False),
+    mobius_subsets: (True, True),
+    zeta_supersets: (False, False),
+    mobius_supersets: (False, True),
+}
+# both sides of the product route's cutoff, the documents' size and the frame cap
+FUSED_SIZES = [FUSED_ORDER - 1, FUSED_ORDER, FUSED_ORDER + 1, 16, 20]
 
 
 class TestFrame:
@@ -113,15 +135,21 @@ class TestZetaTransforms:
         zeta_subsets(f)
         assert np.array_equal(f, np.arange(8.0))
 
+    @pytest.mark.parametrize("n", [1, FUSED_ORDER])
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    def test_rejects_complex_values(self, transform, n):
+        f = np.zeros(1 << n, dtype=complex)
+        f[0] = 0.5 + 3j
+        with pytest.raises(ValueError, match="complex"):
+            transform(f)
+
     def test_rejects_non_power_of_two(self):
         for bad in (np.zeros(6), np.zeros((3, 6)), np.zeros((2, 0)), 1.0):
             with pytest.raises(ValueError):
                 zeta_subsets(bad)
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 7])
-    @pytest.mark.parametrize(
-        "transform", [zeta_subsets, mobius_subsets, zeta_supersets, mobius_supersets]
-    )
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, *FUSED_SIZES])
+    @pytest.mark.parametrize("transform", TRANSFORMS)
     def test_stack_matches_row_by_row(self, transform, n):
         rng = np.random.default_rng(40 + n)
         stack = rng.standard_normal((2, 3, 1 << n))
@@ -131,7 +159,70 @@ class TestZetaTransforms:
         for i in range(2):
             for j in range(3):
                 assert np.array_equal(out[i, j], transform(stack[i, j]))
+        assert np.array_equal(transform(stack[1, 2:]), out[1, 2:])
         assert np.array_equal(stack, before)
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("n", FUSED_SIZES)
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    def test_layout_and_dtype_leave_the_result_unchanged(self, transform, n):
+        rng = np.random.default_rng(70 + n)
+        view = rng.standard_normal((1 << n, 3)).T
+        assert view.flags.f_contiguous and not view.flags.c_contiguous
+        assert np.array_equal(transform(view), transform(np.ascontiguousarray(view)))
+        ints = rng.integers(-8, 8, size=(3, 1 << n))
+        assert np.array_equal(transform(ints), transform(ints.astype(np.float64)))
+
+    @pytest.mark.parametrize("n", FUSED_SIZES)
+    def test_indicators_stay_exact(self, n):
+        rng = np.random.default_rng(80 + n)
+        family = (rng.random(1 << n) < 0.3).astype(np.float64)
+        for zeta, mobius in ((zeta_subsets, mobius_subsets), (zeta_supersets, mobius_supersets)):
+            counts = zeta(family)
+            assert np.array_equal(counts, np.round(counts))
+            assert np.array_equal(counts, plain_butterfly(family, *ROUTES[zeta]))
+            assert np.array_equal(mobius(counts), family)
+
+    @pytest.mark.parametrize("n", FUSED_SIZES)
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    def test_matches_plain_butterfly(self, transform, n):
+        rng = np.random.default_rng(90 + n)
+        f = rng.standard_normal((2, 1 << n))
+        ref = plain_butterfly(f, *ROUTES[transform])
+        assert np.abs(transform(f) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    def test_non_finite_rows_take_the_plain_passes(self, transform):
+        f = np.ones((3, 1 << FUSED_ORDER))
+        f[1, 5] = np.inf
+        f[2, 7] = np.nan
+        with np.errstate(invalid="ignore"):
+            out = transform(f)
+            ref = plain_butterfly(f, *ROUTES[transform])
+        np.testing.assert_array_equal(out[1:], ref[1:])
+        assert np.array_equal(out[0], transform(f[0]))
+
+    def test_result_does_not_depend_on_blas_threads(self):
+        code = (
+            "import hashlib, numpy as np\n"
+            "from beliefdyn import lattice as L\n"
+            "f = np.random.default_rng(16).standard_normal((4, 1 << 16))\n"
+            "h = hashlib.sha256()\n"
+            "for t in (L.zeta_subsets, L.mobius_subsets, L.zeta_supersets, L.mobius_supersets):\n"
+            "    h.update(t(f).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestRoundTrips:
