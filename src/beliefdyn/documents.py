@@ -143,7 +143,10 @@ def _parse_values(frame: Frame, mapping, what: str) -> np.ndarray:
         if subset in seen:
             raise InputError(f"subset key {key!r} names a subset listed before")
         seen.add(subset)
-        values[subset] = float(value)
+        try:
+            values[subset] = float(value)
+        except OverflowError:
+            raise InputError(f"value for {key!r} is too large for a float") from None
     return values
 
 
@@ -159,7 +162,7 @@ def parse_document(text: str) -> MassFunction | ValueFunction:
     """Parse a mass or value document; raises :class:`InputError` on bad files."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")

@@ -6,7 +6,8 @@ O(2**n) or transform-based paths, and the agreement between the two routes
 is part of the verification suite.  Each rule is a private array core over
 ``(..., 2**n)`` stacks of mass vectors, which the verification suite
 evaluates over many instances at once; the public function validates its
-operands and wraps the core's single row.
+operands and wraps the core's single row.  Conditioning and enlargement,
+like every matrix builder, are one call to :func:`lattice._transfer`.
 """
 
 from __future__ import annotations
@@ -19,26 +20,14 @@ from .errors import EvidenceNotContainedError, NonInvertibleEvidenceError
 from .lattice import DEFAULT_TOL, require_same_frame
 
 
-def _transfer(a: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Each row of ``a`` with its mass moved from ``X`` to ``targets[..., X]``, in one scatter.
-
-    ``targets`` is a fresh integer array shaped like ``a``; every row sums its
-    masses in increasing ``X`` order, so a row of a stack is bit for bit the
-    row on its own.
-    """
-    if a.ndim > 1:
-        targets += np.arange(0, a.size, a.shape[-1]).reshape(*a.shape[:-1], 1)
-    return np.bincount(targets.ravel(), a.ravel(), a.size).reshape(a.shape)
-
-
 def _condition(a: np.ndarray, c) -> np.ndarray:
     """Rows of ``a`` conditioned on ``c`` (one subset, or one per row)."""
-    return _transfer(a, np.arange(a.shape[-1]) & np.asarray(c)[..., None])
+    return lattice._transfer(a, np.bitwise_and, c)
 
 
 def _enlarge(a: np.ndarray, x) -> np.ndarray:
     """Rows of ``a`` enlarged by ``x`` (one subset, or one per row)."""
-    return _transfer(a, np.arange(a.shape[-1]) | np.asarray(x)[..., None])
+    return lattice._transfer(a, np.bitwise_or, x)
 
 
 def _conjunctive(a: np.ndarray, b: np.ndarray) -> np.ndarray:

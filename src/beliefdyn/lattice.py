@@ -188,6 +188,24 @@ def _butterfly(values, upward: bool, op) -> np.ndarray:
     return out
 
 
+def _transfer(a: np.ndarray, op, c) -> np.ndarray:
+    """Each row of ``a`` with its entry at ``X`` moved to ``op(X, c)``, in one scatter.
+
+    ``c`` broadcasts against the leading axes of ``a``: one subset, one per
+    row, or ``np.arange(2**n)`` against ``a[..., None, :]`` for the rows of a
+    matrix.  Only subsets nonzero in some row are scattered.  Each entry sums
+    its inputs in increasing ``X`` order from +0.0, which a skipped zero
+    leaves unchanged, so a row of a stack is bit for bit the row on its own.
+    """
+    size = a.shape[-1]
+    lead = np.broadcast_shapes(a.shape[:-1], np.shape(c))
+    focal = np.flatnonzero(a.reshape(-1, size).any(axis=0))
+    rows = np.arange(0, size * np.prod(lead, dtype=np.int64), size).reshape(*lead, 1)
+    target = op(focal, np.asarray(c)[..., None]) + rows
+    weights = np.broadcast_to(a[..., focal], target.shape).ravel()
+    return np.bincount(target.ravel(), weights, rows.size * size).reshape(*lead, size)
+
+
 def zeta_subsets(values) -> np.ndarray:
     """Subset-sum transform: ``g(A) = sum of f(B) over B contained in A``."""
     return _butterfly(values, True, np.add)

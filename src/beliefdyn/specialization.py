@@ -11,6 +11,8 @@ is always at least as committed as the input.  Two constructions matter:
 
 Generalization matrices are the upward duals (mass flows to supersets);
 de-specialization matrices are the linear inverses and realize retraction.
+Every builder fills its rows with :func:`lattice._transfer`, the
+mass-transfer kernel of conditioning and enlargement too.
 
 All dense-matrix operations require ``frame.n <= CAP_MATRIX``.
 """
@@ -100,23 +102,11 @@ def _subset_support(size: int) -> np.ndarray:
 
 
 def _transfer_rows(values: np.ndarray, op) -> np.ndarray:
-    """Matrices whose row ``A`` moves each mass from ``X`` to ``op(A, X)``, in one scatter.
+    """Matrices whose row ``A`` moves each mass of ``values`` from ``X`` to ``op(A, X)``.
 
-    ``values`` is a ``(..., N)`` stack for ``N = 2**n`` subsets; the result
-    is ``(..., N, N)``.  Only the subsets that carry mass in some row are
-    scattered, so a categorical ``values`` costs O(N).  Each entry still sums
-    its masses in increasing ``X`` order from +0.0, and adding a zero leaves
-    such a sum unchanged, so every matrix is bit for bit the one its row
-    gives on its own.
+    ``values`` is a ``(..., N)`` stack for ``N = 2**n`` subsets; the result is ``(..., N, N)``.
     """
-    size = values.shape[-1]
-    stack = values.reshape(-1, size)
-    rows = np.arange(size)[:, None]
-    focal = np.flatnonzero(stack.any(axis=0))
-    target = op(rows, focal) + (np.arange(len(stack))[:, None, None] * size + rows) * size
-    weights = np.broadcast_to(stack[:, None, focal], target.shape).ravel()
-    out = np.bincount(target.ravel(), weights, stack.size * size)
-    return out.reshape(*values.shape, size)
+    return lattice._transfer(values[..., None, :], op, np.arange(values.shape[-1]))
 
 
 def conditioning_matrix(frame: Frame, condition_set: int) -> SpecializationMatrix:
@@ -141,14 +131,13 @@ def dempsterian_matrix(m: MassFunction) -> SpecializationMatrix:
 def _valid(v: np.ndarray, tol: float, upward: bool = False) -> np.ndarray:
     """Per matrix of a ``(..., N, N)`` stack: the specialization invariants.
 
-    Entries at least ``-tol`` (and at most ``1 + tol``), row sums within
-    ``tol`` of one, nothing beyond ``tol`` off the support.  ``upward`` tests
-    the generalization invariants instead: the support transposed and no
-    upper bound on entries.  A NaN entry fails.
+    Entries in ``[-tol, 1 + tol]``, row sums within ``tol`` of one, nothing
+    beyond ``tol`` off the support.  ``upward`` tests the generalization
+    invariants instead: the same bounds on the support transposed.  A NaN
+    entry fails.
     """
-    ok = (v.min(axis=(-2, -1)) >= -tol) & (np.abs(v.sum(axis=-1) - 1.0).max(axis=-1) <= tol)
-    if not upward:
-        ok &= v.max(axis=(-2, -1)) <= 1.0 + tol
+    ok = (v.min(axis=(-2, -1)) >= -tol) & (v.max(axis=(-2, -1)) <= 1.0 + tol)
+    ok &= np.abs(v.sum(axis=-1) - 1.0).max(axis=-1) <= tol
     outside = ~_subset_support(v.shape[-1])
     off = v[np.broadcast_to(outside.T if upward else outside, v.shape)]
     # in place: a second large temporary costs a fresh allocation at the matrix cap
@@ -161,6 +150,7 @@ def is_valid_specialization(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -
 
 
 def is_valid_generalization(g: GeneralizationMatrix, tol: float = DEFAULT_TOL) -> bool:
+    """Check row sums of one, entries in [0, 1], support only on supersets."""
     return bool(_valid(g.values, tol, upward=True))
 
 

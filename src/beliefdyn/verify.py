@@ -474,11 +474,14 @@ def run_all(
 
     Checks are skipped at sizes above their cap (exhaustive enumeration and
     witness searches do not scale past desk-size frames); a selection that
-    runs no check at all is an input error.  ``samples`` overrides every
-    check's own default sample count; the exhaustive checks ignore it.
+    runs no check at all is an input error, as is a negative seed.  ``samples``
+    overrides every check's own default sample count; the exhaustive checks
+    ignore it.
     """
     if samples is not None and samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise InputError(f"seed must be at least 0, got {seed}")
     selected = list(CHECK_NAMES) if checks is None else list(checks)
     for name in selected:
         if name not in _CHECKS:

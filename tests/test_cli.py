@@ -179,6 +179,16 @@ class TestDocuments:
             with pytest.raises(InputError):
                 parse_document(text)
 
+    @pytest.mark.parametrize("digits", [401, 4301])
+    @pytest.mark.parametrize("field", ['"masses": {"a": %s}', '"kind": "q", "values": {"": %s, "a": 1}'],
+                             ids=["masses", "values"])
+    def test_oversized_integer_rejected(self, field, digits):
+        # beyond a float's range, or beyond the digits Python converts to an int at all
+        text = '{"frame": ["a"], %s}' % field % ("1" + "0" * (digits - 1))
+        match = "not valid JSON" if digits > 4300 else "value for '(a)?' is too large for a float"
+        with pytest.raises(InputError, match=match):
+            parse_document(text)
+
     def test_subset_listed_twice_rejected(self):
         # both keys name {a, b}; the listed masses sum to 1.3
         permuted = '{"frame":["a","b","c"],"masses":{"a|b":0.3,"b|a":0.3,"c":0.7}}'
@@ -449,3 +459,64 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "samples must be at least 1" in captured.err
+
+
+def matrix_frame_doc(n: int) -> dict:
+    labels = [f"e{i}" for i in range(n)]
+    return {"frame": labels, "masses": {"|".join(labels): 1.0}}
+
+
+# (files written to the test directory, command line with "@name" for a file's path, exit code)
+ERROR_CASES = {
+    "unreadable-file": ({}, ["convert", "@missing.json", "--to", "bel"], 2),
+    "not-json": ({"m": "not json"}, ["convert", "@m", "--to", "bel"], 2),
+    "not-utf-8": ({"m": b'\xff{"frame": ["a"]}'}, ["convert", "@m", "--to", "bel"], 2),
+    "nested-too-deep": ({"m": "[" * 100_000 + "]" * 100_000}, ["convert", "@m", "--to", "bel"], 2),
+    "integer-beyond-float": ({"m": '{"frame":["a"],"masses":{"a":1%s}}' % ("0" * 400)},
+                             ["convert", "@m", "--to", "bel"], 2),
+    "integer-of-4301-digits": ({"m": '{"frame":["a"],"masses":{"a":1%s}}' % ("0" * 4300)},
+                               ["condition", "@m", "--on", "a"], 2),
+    "mass-sum": ({"m": {"frame": ["a"], "masses": {"a": 0.4}}}, ["convert", "@m", "--to", "q"], 2),
+    "non-finite": ({"m": '{"frame":["a"],"masses":{"a":NaN}}'}, ["convert", "@m", "--to", "q"], 2),
+    "unknown-label": ({"m": {"frame": ["a"], "masses": {"b": 1.0}}}, ["convert", "@m", "--to", "b"], 2),
+    "subset-twice": ({"m": '{"frame":["a","b"],"masses":{"a|b":0.5,"b|a":0.5}}'},
+                     ["convert", "@m", "--to", "pl"], 2),
+    "unknown-top-level-key": ({"m": {**PARTIAL, "bogus": 1}}, ["convert", "@m", "--to", "bel"], 2),
+    "unknown-kind": ({"m": {"frame": ["a"], "kind": "x", "values": {"": 0.0, "a": 1.0}}},
+                     ["convert", "@m", "--to", "mass"], 2),
+    "frame-mismatch": ({"m0": PAIR0, "m1": PARTIAL}, ["combine", "@m0", "@m1"], 2),
+    "condition-key": ({"m": PAIR0}, ["condition", "@m", "--on", "z"], 2),
+    "enlarge-key": ({"m": PAIR0}, ["enlarge", "@m", "--on", "a|a"], 2),
+    "matrix-frame-cap": ({"m": matrix_frame_doc(11)}, ["matrix", "@m", "--kind", "dempsterian"], 2),
+    "matrix-separator": ({}, ["matrix", "--kind", "specialization", "--frame", "x|y,z",
+                              "--conditioning", "z"], 2),
+    "negative-seed": ({}, ["check", "--n", "1", "--seed", "-1"], 2),
+    "sizes-not-integers": ({}, ["check", "--n", "1,x"], 2),
+    "size-beyond-cap": ({}, ["check", "--n", "11"], 2),
+    "samples-below-one": ({}, ["check", "--samples", "0"], 2),
+    "unknown-check": ({}, ["check", "--theorems", "nope"], 2),
+    "total-conflict": ({"m0": {"frame": ["a", "b"], "masses": {"a": 1.0}},
+                        "m1": {"frame": ["a", "b"], "masses": {"b": 1.0}}},
+                       ["combine", "@m0", "@m1", "--rule", "normalized"], 3),
+    "non-invertible-evidence": ({"m": PAIR0, "e": {"frame": ["a", "b"], "masses": {"a": 1.0}}},
+                                ["retract", "@m", "--evidence", "@e"], 3),
+    "evidence-not-contained": ({"m": {"frame": ["a", "b"], "masses": {"a|b": 1.0}}, "e": PAIR0},
+                               ["retract", "@m", "--evidence", "@e"], 3),
+    "singular-despecialization": ({"m": {"frame": ["a", "b"], "masses": {"a": 0.5, "b": 0.5}}},
+                                  ["matrix", "@m", "--kind", "despecialization"], 3),
+}
+
+
+@pytest.mark.parametrize("files, argv, code", ERROR_CASES.values(), ids=ERROR_CASES.keys())
+def test_error_exits_with_one_error_line(tmp_path, capsys, files, argv, code):
+    for name, doc in files.items():
+        if isinstance(doc, bytes):
+            (tmp_path / name).write_bytes(doc)
+        else:
+            (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

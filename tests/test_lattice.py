@@ -12,6 +12,7 @@ from beliefdyn.errors import FrameMismatchError, FrameTooLargeError
 from beliefdyn.lattice import (
     FUSED_ORDER,
     Frame,
+    _transfer,
     default_frame,
     mobius_subsets,
     mobius_supersets,
@@ -223,6 +224,43 @@ class TestFusedKernel:
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.strip())
         assert digests[0] == digests[1]
+
+
+def dense_scatter(row, targets):
+    """Each entry of ``row`` added at its target in increasing index order, from +0.0."""
+    out = np.zeros(row.size)
+    np.add.at(out, targets, row)
+    return out
+
+
+class TestTransferKernel:
+    @pytest.mark.parametrize("op", [np.bitwise_and, np.bitwise_or])
+    def test_sparse_vector_at_the_frame_cap_is_the_dense_scatter(self, op):
+        rng = np.random.default_rng(23)
+        size = 1 << 20
+        a = np.zeros(size)
+        a[rng.choice(size, 40, replace=False)] = rng.random(40)
+        c = int(rng.integers(size))
+        out = _transfer(a, op, c)
+        assert out.tobytes() == dense_scatter(a, op(np.arange(size), c)).tobytes()
+
+    @pytest.mark.parametrize("op", [np.bitwise_and, np.bitwise_or])
+    def test_signed_zeros_and_nan_in_a_stack_are_the_dense_scatter(self, op):
+        rng = np.random.default_rng(24)
+        a = rng.random((5, 32)) * (rng.random((5, 32)) < 0.3)
+        a[:, 6] = -0.0  # a column that is zero in every row, skipped by the kernel
+        a[1, 3] = a[2, 9] = -0.0
+        a[3] = -0.0
+        a[4, 17] = np.nan
+        idx = np.arange(32)
+        c = rng.integers(32, size=5)
+        rows = _transfer(a, op, c)
+        matrices = _transfer(a[:, None, :], op, idx)
+        for i in range(5):
+            assert rows[i].tobytes() == dense_scatter(a[i], op(idx, c[i])).tobytes()
+            for s in range(32):
+                assert matrices[i, s].tobytes() == dense_scatter(a[i], op(idx, s)).tobytes()
+        assert np.isnan(rows[4]).sum() == 1 and not np.signbit(rows[3]).any()
 
 
 class TestRoundTrips:

@@ -27,6 +27,7 @@ from beliefdyn.specialization import (
     incidence_inverse,
     incidence_matrix,
     is_dempsterian,
+    is_valid_generalization,
     is_valid_specialization,
 )
 from beliefdyn.verify import random_mass, random_specialization
@@ -223,6 +224,20 @@ class TestPredicates:
     def test_row_sum_violation_detected(self):
         values = np.eye(4) * 0.9
         assert not is_valid_specialization(SpecializationMatrix(F2, values))
+
+    def test_generalization_entry_above_one_rejected(self):
+        # the empty set's row sums to exactly 1 with every entry at least -tol, but one is 1 + 1e-6
+        frame = default_frame(10)
+        values = np.eye(frame.size)
+        values[0] = -0.999e-9
+        values[0, 0] = 1.0 + (frame.size - 1) * 0.999e-9
+        assert values[0].sum() == 1.0
+        g = GeneralizationMatrix(frame, values)
+        assert not is_valid_generalization(g)
+        with pytest.raises(InvalidSpecializationError, match="generalization invariants"):
+            apply_generalization(vacuous(frame), g)
+        # its index-reversed mirror, a specialization, is rejected by the same bound
+        assert not is_valid_specialization(SpecializationMatrix(frame, values[::-1, ::-1]))
 
 
 class TestCommutation:

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from beliefdyn import belief, dynamics, specialization, verify
+from beliefdyn import belief, dynamics, lattice, specialization, verify
 from beliefdyn.belief import MassFunction, bel_from_mass, pl_from_bel, pl_from_mass, q_from_mass
 from beliefdyn.dynamics import (
     combine_conjunctive,
@@ -252,6 +252,22 @@ def test_fault_in_enlarge_fails_dynamics_invariants(monkeypatch):
     x, y = w["X"], w["Y"]
     dev = np.abs(condition(enlarged, x | y).values - enlarge(condition(enlarged, x), y).values).max()
     assert dev > verify.TOL and dev == pytest.approx(w["failed"]["enlarge-invariance"], abs=1e-9)
+
+
+def test_fault_in_transfer_kernel_fails_dynamics_invariants(monkeypatch):
+    # conditioning and its matrices share the kernel, so cond-matrix cannot see this fault
+    real = lattice._transfer
+    monkeypatch.setattr(lattice, "_transfer", lambda a, op, c: real(
+        a, op, np.asarray(c) & ~1 if op is np.bitwise_and else c))
+    assert not verify.check_conditioning_least_committed(F3, samples=40, seed=8).passed
+    w = failed_witness(verify.check_dynamics_invariants(F3, samples=40, seed=8))
+    assert "cond-bel-form" in w["failed"] and "cond-matrix" not in w["failed"]
+    m0 = MassFunction(F3, w["m0"])
+    comp = F3.full ^ w["C"]
+    bel0 = bel_from_mass(m0).values
+    closed = bel0[np.arange(F3.size) | comp] - bel0[comp]
+    dev = np.abs(bel_from_mass(condition(m0, w["C"])).values - closed).max()
+    assert dev > verify.TOL and dev == pytest.approx(w["failed"]["cond-bel-form"], abs=1e-9)
 
 
 def test_rejected_retraction_counts_as_a_violation(monkeypatch):

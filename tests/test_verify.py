@@ -199,6 +199,13 @@ class TestRunAll:
         with pytest.raises(InputError):
             run_all(sizes=(1,), samples=samples)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed must be at least 0, got -1"):
+            run_all(sizes=(1,), samples=2, seed=-1)
+
+    def test_seed_beyond_64_bits_runs(self):
+        assert all_passed(run_all(sizes=(1,), samples=2, seed=2**70 + 5))
+
     def test_oversize_frame_rejected(self):
         with pytest.raises(FrameTooLargeError):
             run_all(sizes=(11,))
