@@ -25,17 +25,27 @@ checks (masses summing to 1, none below -1e-9, the anchor value of a
 kind), which only a function at the edge of those checks can reach,
 every value is written unrounded instead, as Python's shortest
 round-trip ``repr``.  So the reader accepts whatever the writer emits.
+
+Both directions work per document rather than per key.  Every writer lists
+keys in bitmask order, so a written map is a prefix of the canonical key
+table; the reader checks that in one pass over the keys, without building
+the table, and takes the numbers in one conversion.  Every other key order
+or member order is still accepted, key by key, with the same checks and
+error messages.  The writer keeps the 12-digit text of each value from its
+rounding and writes it in ``repr``'s notation.  The format is the same
+either way.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 
 import numpy as np
 
 from .belief import Kind, MassFunction, ValueFunction
 from .errors import InputError, NotABeliefFunctionError
-from .lattice import Frame, _round12
+from .lattice import Frame
 
 _ZERO_BELOW = 1e-12
 _ZERO_BUDGET = 1e-10
@@ -44,13 +54,22 @@ _MASS_KEYS = ("frame", "masses")
 _VALUE_KEYS = ("frame", "kind", "values")
 
 
-def _key_table(frame: Frame) -> list[str]:
-    """Canonical subset keys in bitmask order."""
+def _key_table(labels) -> list[str]:
+    """Canonical subset keys over ``labels`` in bitmask order."""
     keys = [""]
-    for label in frame.labels:
+    for label in labels:
         # the masks with this label's bit set: every earlier mask plus the label
         keys += [f"{key}|{label}" if key else label for key in keys]
     return keys
+
+
+def _json_text(key: str) -> str:
+    """``key`` as JSON writes it inside a string.
+
+    Escaping goes character by character and leaves ``|`` alone, so the
+    text of a key joins the texts of its labels.
+    """
+    return json.encoder.encode_basestring_ascii(key)[1:-1]
 
 
 def _label_bits(frame: Frame) -> dict[str, int]:
@@ -80,10 +99,12 @@ def parse_subset_key(frame: Frame, key: str) -> int:
     return _decode_key(_label_bits(frame), frame, key)
 
 
-def _written(values: np.ndarray, rebuild) -> np.ndarray:
+def _written(values: np.ndarray, rebuild) -> tuple[np.ndarray, np.ndarray]:
     """``values`` as a document writes them, by the rules of the module docstring.
 
     ``rebuild`` is the reader's constructor applied to the written values.
+    Also returns the JSON text of each written value, its ``repr``, in an
+    object array.
     """
     tiny = np.abs(values) < _ZERO_BELOW
     if np.abs(values[tiny]).sum() <= _ZERO_BUDGET:
@@ -91,27 +112,46 @@ def _written(values: np.ndarray, rebuild) -> np.ndarray:
     else:
         out = values.copy()
     listed = np.flatnonzero(out)
-    out[listed] = [_round12(x) for x in out[listed].tolist()]
+    # one format call over all listed values, not one per value
+    digits = ("%.12g\n" * listed.size % tuple(out[listed].tolist())).splitlines()
+    out[listed] = rounded = np.fromiter(map(float, digits), float, listed.size)
     try:
         rebuild(out)
     except NotABeliefFunctionError:
-        return values
-    return out
+        out, listed = values, np.flatnonzero(values)
+        digits = list(map(repr, values[listed].tolist()))
+    else:
+        # No text of fewer digits names a normal float of at most 12 significant
+        # digits, so its repr has the digits of its .12g text.  The notation
+        # differs for integers (1 against 1.0) and from 1e12 on (1e+12 against
+        # 1000000000000.0); those values, and the subnormal ones, are written anew.
+        magnitude = np.abs(rounded)
+        anew = (rounded == np.trunc(rounded)) | (magnitude >= 1e12) | (magnitude < 1e-300)
+        for i in np.flatnonzero(anew).tolist():
+            digits[i] = repr(float(digits[i]))
+    texts = np.empty(out.size, dtype=object)
+    texts[:] = "0.0"
+    texts[np.signbit(out)] = "-0.0"
+    texts[listed] = digits
+    return out, texts
 
 
-def _dump(header: dict, field: str, keys: list[str], values: list[float]) -> str:
-    """``json.dumps({**header, field: dict(zip(keys, values))}, indent=2) + "\\n"``.
+def _dump(header: dict, field: str, keys: list[str], texts: list[str]) -> str:
+    """``json.dumps({**header, field: dict(zip(keys, values))}, indent=2) + "\\n"``,
+    given the JSON text of each key (:func:`_json_text`) and of each value.
 
-    Only the short header goes through ``json.dumps``; each body line is an
-    escaped key and the ``repr`` of the value, as the encoder writes them.
+    Only the short header goes through ``json.dumps``; the body is one join
+    of the keys, the texts and the separators between them, so no line is
+    held as a string of its own.
     """
     text = json.dumps({**header, field: {}}, indent=2)
     if not keys:
         return text + "\n"
-    escape = json.encoder.encode_basestring_ascii
-    body = ",\n".join([f"    {escape(k)}: {x!r}" for k, x in zip(keys, values)])
     # text ends with the empty map and the closing brace: '{}\n}'
-    return f"{text[:-4]}{{\n{body}\n  }}\n}}\n"
+    pieces = [text[:-4] + '{\n    "']
+    pieces += chain.from_iterable(zip(keys, repeat('": '), texts, repeat(',\n    "')))
+    pieces[-1] = "\n  }\n}\n"
+    return "".join(pieces)
 
 
 def _document_frame(frame: Frame) -> Frame:
@@ -130,9 +170,66 @@ def _parse_frame(doc: dict) -> Frame:
         raise InputError(str(exc)) from exc
 
 
+def _canonical_prefix(frame: Frame, keys: list) -> bool:
+    """Whether the string ``keys`` are the first ``len(keys)`` keys of the frame's table.
+
+    The table (:func:`_key_table`) doubles: for ``lo = 2**i``, key ``lo`` is
+    label ``i`` and key ``lo + j`` (``0 < j < lo``) is key ``j``, ``"|"`` and
+    label ``i``.  So each level, joined by newlines, is compared with the
+    levels below it extended by the label, and the table is never built.
+    When no label holds a newline, two equal joins hold as many newlines as
+    they join keys, so the keys agree one by one.
+    """
+    count = len(keys)
+    if count > frame.size or any("\n" in label for label in frame.labels):
+        return False
+    if count and keys[0] != "":
+        return False
+    for i, label in enumerate(frame.labels):
+        lo = 1 << i
+        if count <= lo:
+            break
+        hi = min(2 * lo, count)
+        tail = "|" + label
+        # key 0 is "", so the first expected key is the label with a "|" before it
+        expected = (tail + "\n").join(keys[: hi - lo]) + tail
+        if "\n".join(keys[lo:hi]) != expected[1:]:
+            return False
+    return True
+
+
+def _dense_values(frame: Frame, mapping: dict) -> np.ndarray | None:
+    """The vector of a canonical-order prefix of numbers, read in one pass; else None."""
+    if not _canonical_prefix(frame, list(mapping)):
+        return None
+    if not set(map(type, mapping.values())) <= {int, float}:  # bool is a type of its own
+        return None
+    values = np.zeros(frame.size)
+    try:
+        values[: len(mapping)] = np.fromiter(mapping.values(), float, len(mapping))
+    except OverflowError:  # the per-key route names the key
+        return None
+    return values
+
+
 def _parse_values(frame: Frame, mapping, what: str) -> np.ndarray:
+    """The vector a ``"masses"`` or ``"values"`` map lists.
+
+    A canonical-order prefix of numbers takes one pass; any other map goes
+    key by key, which decodes keys in any member order and names what it rejects.
+    """
     if not isinstance(mapping, dict):
         raise InputError(f'"{what}" must be a key-value map')
+    values = _dense_values(frame, mapping)
+    if values is None:
+        values = _values_by_key(frame, mapping)
+    if not np.isfinite(values).all():
+        key, value = next((k, v) for k, v in mapping.items() if not np.isfinite(float(v)))
+        raise InputError(f"value for {key!r} is not finite: {value!r}")
+    return values
+
+
+def _values_by_key(frame: Frame, mapping: dict) -> np.ndarray:
     bits = _label_bits(frame)
     values = np.zeros(frame.size)
     seen = set()
@@ -196,24 +293,25 @@ def parse_mass_document(text: str) -> MassFunction:
 
 def format_mass_document(m: MassFunction) -> str:
     frame = _document_frame(m.frame)
-    values = _written(m.values, lambda out: MassFunction(frame, out))
+    values, texts = _written(m.values, lambda out: MassFunction(frame, out))
     listed = np.flatnonzero(values)
     # one join costs about as much as 2n to 3n entries of the whole key table
     if 3 * frame.n * listed.size < frame.size:
-        keys = [subset_key(frame, s) for s in listed.tolist()]
+        keys = [_json_text(subset_key(frame, s)) for s in listed.tolist()]
     else:
-        table = _key_table(frame)
+        table = _key_table(map(_json_text, frame.labels))
         keys = [table[s] for s in listed.tolist()]
-    return _dump({"frame": list(frame.labels)}, "masses", keys, values[listed].tolist())
+    return _dump({"frame": list(frame.labels)}, "masses", keys, texts[listed].tolist())
 
 
 def format_value_document(v: ValueFunction) -> str:
     frame = _document_frame(v.frame)
+    _, texts = _written(v.values, lambda out: ValueFunction(frame, v.kind, out))
     return _dump(
         {"frame": list(frame.labels), "kind": v.kind.value},
         "values",
-        _key_table(frame),
-        _written(v.values, lambda out: ValueFunction(frame, v.kind, out)).tolist(),
+        _key_table(map(_json_text, frame.labels)),
+        texts.tolist(),
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -117,16 +118,31 @@ class _Fold:
         return CheckReport(**vars(self))
 
 
-def _start(check: str, frame: Frame, seed) -> tuple[_Fold, np.random.Generator]:
+def _check_run(seed, samples: int | None) -> None:
+    """Reject a sample count below 1, where a check would pass on no instance, and a negative seed."""
+    if samples is not None and samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InputError(f"seed must be at least 0, got {seed}")
+
+
+def _start(
+    check: str, frame: Frame, seed, samples: int | None = None
+) -> tuple[_Fold, np.random.Generator]:
     """A check's fold and generator; every check builds dense matrices, so their cap holds."""
     _check_matrix_frame(frame)
+    _check_run(seed, samples)
     return _Fold(check, frame.n), np.random.default_rng(seed)
 
 
-def _blocks(count: int, entries: int) -> list[np.ndarray]:
-    """``range(count)`` in index blocks of at most ``_BLOCK`` entries, at ``entries`` an index."""
+def _blocks(count: int, entries: int) -> Iterator[np.ndarray]:
+    """``range(count)`` in index blocks of at most ``_BLOCK`` entries, at ``entries`` an index.
+
+    Blocks are made one at a time, so any count holds one block in memory.
+    """
     step = max(1, _BLOCK // entries)
-    return np.split(np.arange(count), np.arange(step, count, step))
+    for start in range(0, count, step):
+        yield np.arange(start, min(start + step, count))
 
 
 def _worst(x: np.ndarray) -> np.ndarray:
@@ -234,7 +250,7 @@ def check_conditioning_least_committed(frame: Frame, samples: int = 500, seed=0)
     random masses, the conditioned state must dominate: its plausibility is
     pointwise largest, and the alternative's complement plausibility is zero.
     """
-    fold, rng = _start("conditioning-least-committed", frame, seed)
+    fold, rng = _start("conditioning-least-committed", frame, seed, samples)
     t = incidence_matrix(frame)
     for rows in _blocks(samples, frame.size**2):
         c = rng.integers(frame.size, size=rows.size)
@@ -274,7 +290,7 @@ def check_commuting_implies_dempsterian(frame: Frame, samples: int = 100, seed=0
     for sampled valid non-Dempsterian matrices, some conditioning matrix
     must witness non-commutation.
     """
-    fold, rng = _start("commuting-implies-dempsterian", frame, seed)
+    fold, rng = _start("commuting-implies-dempsterian", frame, seed, samples)
     size = frame.size
     conditioners = _transfer_rows(np.eye(size), np.bitwise_and)
     for rows in _blocks(samples, size**3):
@@ -300,7 +316,7 @@ def check_commuting_implies_dempsterian(frame: Frame, samples: int = 100, seed=0
 
 def check_dempsterian_commutation(frame: Frame, samples: int = 200, seed=0) -> CheckReport:
     """Dempsterian matrices commute, and their product is the combination's matrix."""
-    fold, rng = _start("dempsterian-commutation", frame, seed)
+    fold, rng = _start("dempsterian-commutation", frame, seed, samples)
     size = frame.size
     for rows in _blocks(samples, size**2):
         m1, m2 = (_random_masses(size, rows.size, rng) for _ in range(2))
@@ -318,7 +334,7 @@ def check_combination_least_committed(frame: Frame, samples: int = 300, seed=0) 
     random m: applying m0's own matrix equals conjunctive combination, and
     its plausibility dominates every alternative ``m . S`` pointwise.
     """
-    fold, rng = _start("combination-least-committed", frame, seed)
+    fold, rng = _start("combination-least-committed", frame, seed, samples)
     size = frame.size
     t = incidence_matrix(frame)
     for rows in _blocks(samples, size**2):
@@ -342,7 +358,7 @@ def check_eigen_structure(frame: Frame, samples: int = 200, seed=0, inject_fault
     matrix; it exists so the fault path of the reporting machinery can be
     exercised end to end.
     """
-    fold, rng = _start("eigenstructure", frame, seed)
+    fold, rng = _start("eigenstructure", frame, seed, samples)
     t, t_inv = incidence_matrix(frame), incidence_inverse(frame)
     for rows in _blocks(samples, frame.size**2):
         m = _random_masses(frame.size, rows.size, rng)
@@ -379,7 +395,7 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
     independence, retraction round trips, the disjunctive rule against its
     double sum and implicability product, and enlargement indiscernibility.
     """
-    fold, rng = _start("dynamics-invariants", frame, seed)
+    fold, rng = _start("dynamics-invariants", frame, seed, samples)
     size, full = frame.size, frame.full
     idx = np.arange(size)
     vac = np.eye(size)[-1]
@@ -478,10 +494,7 @@ def run_all(
     overrides every check's own default sample count; the exhaustive checks
     ignore it.
     """
-    if samples is not None and samples < 1:
-        raise InputError(f"samples must be at least 1, got {samples}")
-    if seed < 0:
-        raise InputError(f"seed must be at least 0, got {seed}")
+    _check_run(seed, samples)
     selected = list(CHECK_NAMES) if checks is None else list(checks)
     for name in selected:
         if name not in _CHECKS:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from beliefdyn.cli import main
 from beliefdyn.documents import (
+    _dense_values,
+    _values_by_key,
     format_mass_document,
     format_value_document,
     parse_document,
@@ -101,8 +104,9 @@ class TestDocuments:
             lambda n: tuple("abcdefghij"[:n]),
             lambda n: tuple(["é", "ж", "日本", "😀", "ß", "ø", "λ", "ü", "ñ", "ç"][:n]),
             lambda n: tuple(f'q"{i}\\' for i in range(n)),
+            lambda n: tuple(f"%s{i}%" for i in range(n)),
         ],
-        ids=["ascii", "non-ascii", "quote-backslash"],
+        ids=["ascii", "non-ascii", "quote-backslash", "percent"],
     )
     def test_writer_matches_reference_dump(self, n, labels):
         frame = Frame(labels(n))
@@ -128,8 +132,15 @@ class TestDocuments:
     @example(tiny_masses(1, 5e-13))
     @example(MassFunction(default_frame(1), [0.0, 1.0 - 9.999999999e-10]))
     def test_every_mass_function_reads_back(self, m):
-        back = parse_document(format_mass_document(m))
+        text = format_mass_document(m)
+        back = parse_document(text)
         assert isinstance(back, MassFunction)
+        # whichever route read it, the key-by-key route reads the same bits
+        values = _values_by_key(m.frame, json.loads(text)["masses"])
+        assert back.values.tobytes() == values.tobytes()
+        text = format_value_document(bel_from_mass(m))
+        values = _values_by_key(m.frame, json.loads(text)["values"])
+        assert parse_document(text).values.tobytes() == values.tobytes()
         # 12 significant digits keep 12 decimals below 1 but only 11 from 1 to 10,
         # where a mass can sit when the masses sum to a little over 1
         err = np.abs(back.values - m.values)
@@ -228,6 +239,111 @@ class TestDocuments:
             format_mass_document(m)
         with pytest.raises(InputError, match="separator"):
             format_value_document(q_from_mass(m))
+
+
+def parse_route(frame_labels, mapping, field="masses"):
+    """Whether the one-pass route takes ``mapping``, and what ``parse_document`` makes of it."""
+    dense = _dense_values(Frame(tuple(frame_labels)), mapping) is not None
+    doc = {"frame": list(frame_labels), field: mapping}
+    if field == "values":
+        doc["kind"] = "q"
+    try:
+        return dense, parse_document(json.dumps(doc)).values.tolist()
+    except InputError as exc:
+        return dense, str(exc)
+
+
+class TestDocumentRoutes:
+    """A canonical-order prefix of numbers is read in one pass; any other map key by key."""
+
+    ABC = ["a", "b", "c"]
+    PREFIX = {"": 0.1, "a": 0.2, "b": 0.3, "a|b": 0.4}
+
+    def test_full_table_is_one_pass(self):
+        keys = ["", "a", "b", "a|b", "c", "a|c", "b|c", "a|b|c"]
+        mapping = dict(zip(keys, [1.0, 0.5, 0.25, 0.125, 0.5, 0.25, 0.125, 0]))
+        assert parse_route(self.ABC, mapping, "values") == (
+            True, [1.0, 0.5, 0.25, 0.125, 0.5, 0.25, 0.125, 0.0]
+        )
+
+    def test_strict_prefix_is_one_pass(self):
+        expected = [0.1, 0.2, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0]
+        assert parse_route(self.ABC, self.PREFIX) == (True, expected)
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"": 0.1, "b": 0.3, "a": 0.2, "a|b": 0.4},  # a prefix with one key swapped
+            {"a|b": 0.4, "": 0.1, "b": 0.3, "a": 0.2},  # shuffled
+            {"": 0.1, "a": 0.2, "b": 0.3, "b|a": 0.4},  # member order not the frame's
+        ],
+        ids=["swapped", "shuffled", "member-order"],
+    )
+    def test_other_orders_go_key_by_key(self, mapping):
+        assert parse_route(self.ABC, mapping) == (False, [0.1, 0.2, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0])
+
+    def test_newline_in_a_label_goes_key_by_key(self):
+        # the one-pass check joins keys by newlines
+        mapping = {"": 0.5, "x\ny": 0.25, "z": 0.125, "x\ny|z": 0.125}
+        assert parse_route(["x\ny", "z"], mapping) == (False, [0.5, 0.25, 0.125, 0.125])
+
+    @pytest.mark.parametrize(
+        "mapping, dense, error",
+        [
+            # canonical keys, but the type test or the float conversion sends them key by key
+            ({"": 0.1, "a": True, "b": 0.3, "a|b": 0.6}, False, "value for 'a' is not a number: True"),
+            ({"": 0.1, "a": 10**400, "b": 0.3}, False, "value for 'a' is too large for a float"),
+            ({"": 0.1, "a": 0.2, "z": 0.3}, False, "label 'z' not in frame ('a', 'b', 'c')"),
+            ({"": 0.1, "a": 0.2, "b": float("nan")}, True, "value for 'b' is not finite: nan"),
+        ],
+        ids=["bool", "400-digit-integer", "unknown-label", "nan"],
+    )
+    def test_rejected_maps_keep_their_error(self, mapping, dense, error):
+        assert parse_route(self.ABC, mapping) == (dense, error)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_is_named_on_both_routes(self, bad):
+        rng = np.random.default_rng(0)
+        values = rng.random(1 << 12)
+        values /= values.sum()
+        text = format_mass_document(MassFunction(default_frame(12), values))
+        doc = json.loads(text)
+        key = list(doc["masses"])[3001]
+        doc["masses"][key] = bad
+        dense = json.dumps(doc)
+        doc["masses"] = dict(reversed(doc["masses"].items()))
+        for text in (dense, json.dumps(doc)):
+            with pytest.raises(InputError, match=f"value for '{key}' is not finite: {bad!r}"):
+                parse_document(text)
+
+    def test_infinite_number_text_is_named(self):
+        # json reads 1e400 as inf
+        with pytest.raises(InputError, match="value for 'a' is not finite: inf"):
+            parse_document('{"frame":["a"],"masses":{"a":1e400}}')
+
+    def test_written_documents_are_pinned(self):
+        # SHA-256 of the writers' output, byte for byte
+        frame = default_frame(16)
+        rng = np.random.default_rng(20261018)
+        values = rng.random(frame.size) * (rng.random(frame.size) < 0.75)
+        m = MassFunction(frame, values / values.sum())
+        bel = bel_from_mass(m).values.copy()
+        # notations where repr and .12g differ, or might
+        notation = [1.0, 0.0, -0.0, 1e12, 1e15, 1e16, 1e-5, 5e-324, 123.0, 1.5e13, -2.5e14, 2.5e-7]
+        bel[1 : 1 + len(notation)] = notation
+        bel[100:300] = 9e-13  # beyond the 1e-10 budget of the zero rule: -0.0 and 5e-324 stay
+        docs = [
+            format_mass_document(m),
+            format_value_document(bel_from_mass(m)),
+            format_value_document(ValueFunction(frame, Kind.BELIEF, bel)),
+        ]
+        assert [hashlib.sha256(d.encode()).hexdigest() for d in docs] == [
+            "63a78b45b6ed464778c21d31a0033b2d451e6f34df828841f597a726edca2ed5",
+            "215fde944b83f7acf2f1508ff42ec908e9207d01a6097df2d294da2971639f4c",
+            "b52e18005108e0389e746dda4656ee50a075255d70d9be9923a3641185164d31",
+        ]
+        assert '"a|b": -0.0,\n    "c": 1000000000000.0,' in docs[2]
+        assert '"b|c": 1e+16,\n    "a|b|c": 1e-05,\n    "d": 5e-324,' in docs[2]
 
 
 class TestConvert:

@@ -11,8 +11,12 @@ from beliefdyn.specialization import is_valid_specialization
 from beliefdyn.verify import (
     CHECK_NAMES,
     CheckReport,
+    EXHAUSTIVE_CHECKS,
     TOL,
+    _BLOCK,
+    _CHECKS,
     _Fold,
+    _blocks,
     _witness,
     all_passed,
     check_combination_least_committed,
@@ -160,6 +164,35 @@ class TestIndividualChecks:
     def test_dynamics_invariants_pass(self):
         report = check_dynamics_invariants(F3, samples=60, seed=10)
         assert report.passed
+
+
+class TestPublicChecks:
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_negative_seed_rejected(self, name):
+        check, _ = _CHECKS[name]
+        with pytest.raises(InputError, match="seed must be at least 0, got -1"):
+            check(default_frame(2), seed=-1)
+
+    @pytest.mark.parametrize("name", [c for c in CHECK_NAMES if c not in EXHAUSTIVE_CHECKS])
+    def test_samples_below_one_rejected(self, name):
+        # no block at all would be a pass on no instance
+        check, _ = _CHECKS[name]
+        with pytest.raises(InputError, match="samples must be at least 1, got 0"):
+            check(default_frame(2), samples=0)
+
+    @pytest.mark.parametrize(
+        "count, entries", [(1, 16), (500, 16), (500, 4096), (1024, 16), (1025, 16), (7, 2**15)]
+    )
+    def test_blocks_split_range(self, count, entries):
+        step = max(1, _BLOCK // entries)
+        expected = np.split(np.arange(count), np.arange(step, count, step))
+        blocks = list(_blocks(count, entries))
+        assert len(blocks) == len(expected)
+        assert all(np.array_equal(b, e) for b, e in zip(blocks, expected))
+
+    def test_blocks_hold_one_block_at_a_time(self):
+        # a whole index of 10**12 entries would need 8 TB
+        assert np.array_equal(next(_blocks(10**12, 1)), np.arange(_BLOCK))
 
 
 class TestRunAll:
