@@ -24,7 +24,11 @@ rounding.  Where that would take the values outside the reader's 1e-9
 checks (masses summing to 1, none below -1e-9, the anchor value of a
 kind), which only a function at the edge of those checks can reach,
 every value is written unrounded instead, as Python's shortest
-round-trip ``repr``.  So the reader accepts whatever the writer emits.
+round-trip ``repr``.  A value function that inverts to masses must still
+invert after rounding, where up to 2**n rounding errors add up; one that
+does not invert is written by the reader's checks alone.  So the reader
+accepts whatever the writer emits, and ``convert --to mass`` accepts
+whatever ``convert`` wrote.
 
 Both directions work per document rather than per key.  Every writer lists
 keys in bitmask order, so a written map is a prefix of the canonical key
@@ -43,7 +47,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .belief import Kind, MassFunction, ValueFunction
+from .belief import Kind, MassFunction, ValueFunction, mass_from
 from .errors import InputError, NotABeliefFunctionError
 from .lattice import Frame
 
@@ -306,7 +310,16 @@ def format_mass_document(m: MassFunction) -> str:
 
 def format_value_document(v: ValueFunction) -> str:
     frame = _document_frame(v.frame)
-    _, texts = _written(v.values, lambda out: ValueFunction(frame, v.kind, out))
+
+    def rebuild(out):
+        return ValueFunction(frame, v.kind, out)
+
+    try:
+        mass_from(v)
+    except NotABeliefFunctionError:
+        _, texts = _written(v.values, rebuild)
+    else:
+        _, texts = _written(v.values, lambda out: mass_from(rebuild(out)))
     return _dump(
         {"frame": list(frame.labels), "kind": v.kind.value},
         "values",

@@ -6,8 +6,9 @@ O(2**n) or transform-based paths, and the agreement between the two routes
 is part of the verification suite.  Each rule is a private array core over
 ``(..., 2**n)`` stacks of mass vectors, which the verification suite
 evaluates over many instances at once; the public function validates its
-operands and wraps the core's single row.  Conditioning and enlargement,
-like every matrix builder, are one call to :func:`lattice._transfer`.
+operands and wraps the core's single row.  Conditioning and enlargement
+are one call each to :func:`lattice._transfer`; the matrix builders fill
+their rows by folds of their own, so the two routes share no kernel.
 """
 
 from __future__ import annotations

@@ -191,11 +191,14 @@ def _butterfly(values, upward: bool, op) -> np.ndarray:
 def _transfer(a: np.ndarray, op, c) -> np.ndarray:
     """Each row of ``a`` with its entry at ``X`` moved to ``op(X, c)``, in one scatter.
 
-    ``c`` broadcasts against the leading axes of ``a``: one subset, one per
-    row, or ``np.arange(2**n)`` against ``a[..., None, :]`` for the rows of a
-    matrix.  Only subsets nonzero in some row are scattered.  Each entry sums
-    its inputs in increasing ``X`` order from +0.0, which a skipped zero
-    leaves unchanged, so a row of a stack is bit for bit the row on its own.
+    ``c`` broadcasts against the leading axes of ``a``: one subset or one per
+    row, as conditioning and enlargement use it.  ``np.arange(2**n)`` against
+    ``a[..., None, :]`` gives the rows of a matrix; no matrix builder calls
+    it, but the tests hold the fold builder
+    :func:`specialization._transfer_rows` against it.  Only subsets nonzero
+    in some row are scattered.  Each entry sums its inputs in increasing
+    ``X`` order from +0.0, which a skipped zero leaves unchanged, so a row of
+    a stack is bit for bit the row on its own.
     """
     size = a.shape[-1]
     lead = np.broadcast_shapes(a.shape[:-1], np.shape(c))

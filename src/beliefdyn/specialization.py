@@ -11,14 +11,17 @@ is always at least as committed as the input.  Two constructions matter:
 
 Generalization matrices are the upward duals (mass flows to supersets);
 de-specialization matrices are the linear inverses and realize retraction.
-Every builder fills its rows with :func:`lattice._transfer`, the
-mass-transfer kernel of conditioning and enlargement too.
+Every builder fills its rows with :func:`_transfer_rows`, which doubles the
+rows filled so far by one fold per frame element: a row with an element
+missing is the row with it present, conditioned (or, upward, enlarged) once
+more.
 
 All dense-matrix operations require ``frame.n <= CAP_MATRIX``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,18 +98,50 @@ class DespecializationMatrix:
         object.__setattr__(self, "values", _frozen_matrix(self.frame, self.values))
 
 
+@functools.cache
 def _subset_support(size: int) -> np.ndarray:
-    """Boolean matrix, True at (A, B) iff B is a subset of A."""
+    """Boolean matrix, True at (A, B) iff B is a subset of A; built once per size, read-only."""
     idx = np.arange(size)
-    return (idx[None, :] & ~idx[:, None]) == 0
+    out = (idx[None, :] & ~idx[:, None]) == 0
+    out.flags.writeable = False
+    return out
 
 
 def _transfer_rows(values: np.ndarray, op) -> np.ndarray:
     """Matrices whose row ``A`` moves each mass of ``values`` from ``X`` to ``op(A, X)``.
 
-    ``values`` is a ``(..., N)`` stack for ``N = 2**n`` subsets; the result is ``(..., N, N)``.
+    ``values`` is a ``(..., N)`` stack for ``N = 2**n`` subsets; the result is
+    ``(..., N, N)``.  ``op`` is ``np.bitwise_and`` (row ``A`` is ``values``
+    conditioned on ``A``) or ``np.bitwise_or`` (row ``A`` is ``values``
+    enlarged by ``A``).  The rows are filled by ``n`` folds in place, with
+    no index array.  For ``np.bitwise_and`` the full row is ``values + 0.0``;
+    then for ``b = 1, 2, .., N/2`` the rows ``[N-2b, N-b)`` are the rows
+    ``[N-b, N)`` with each entry at ``X | b`` added onto ``X``.  For
+    ``np.bitwise_or`` the mirror: row empty is ``values + 0.0``, and the rows
+    ``[b, 2b)`` are the rows ``[0, b)`` with each entry at ``X`` added onto
+    ``X | b``.
+
+    So an entry sums its inputs in fold order, not in increasing ``X`` order
+    as :func:`lattice._transfer` does: a sum of three or more nonzero inputs
+    can differ from that scatter in the last bit, and 0/1 rows stay exact.
+    The seed row is ``values + 0.0`` and every other entry starts at +0.0, so
+    no zero of the output is -0.0.  A matrix of a stack goes through the same
+    additions as on its own, so it is bit for bit the matrix on its own.
     """
-    return lattice._transfer(values[..., None, :], op, np.arange(values.shape[-1]))
+    size = values.shape[-1]
+    out = np.zeros((*values.shape[:-1], size, size))
+    down = op is np.bitwise_and
+    np.add(values, 0.0, out=out[..., -1 if down else 0, :])
+    b = 1
+    with np.errstate(invalid="ignore"):  # inf + -inf gives NaN, as in the scatter
+        while b < size:
+            source, first, keep = (size - b, size - 2 * b, 0) if down else (0, b, 1)
+            shape = (*out.shape[:-2], b, size // (2 * b), 2, b)
+            src = out[..., source : source + b, :].reshape(shape)
+            dst = out[..., first : first + b, :].reshape(shape)
+            np.add(src[..., 0, :], src[..., 1, :], out=dst[..., keep, :])
+            b *= 2
+    return out
 
 
 def conditioning_matrix(frame: Frame, condition_set: int) -> SpecializationMatrix:
@@ -234,14 +269,17 @@ def incidence_matrix(frame: Frame) -> np.ndarray:
 def incidence_inverse(frame: Frame) -> np.ndarray:
     """Exact inverse of :func:`incidence_matrix`: ``(-1)**|A - B|`` for B subset of A.
 
-    Built from integer Moebius coefficients, never by numeric inversion: for B
-    inside A, ``|A - B|`` is odd exactly when the two parities of ``|A|`` and
-    ``|B|`` differ.
+    Built from integer Moebius coefficients, never by numeric inversion: one
+    more element doubles the inverse ``K`` on the elements so far to
+    ``[[K, 0], [-K, K]]``, the Kronecker product with ``[[1, 0], [-1, 1]]``.
     """
     _check_matrix_frame(frame)
-    parity = lattice.popcounts(frame.size) & 1
-    signs = 1.0 - 2.0 * (parity[:, None] ^ parity[None, :])
-    return np.where(_subset_support(frame.size), signs, 0.0)
+    step = np.array([[1.0, 0.0], [-1.0, 1.0]])  # the inverse on one element
+    out = np.ones((1, 1))
+    for _ in range(frame.n):
+        out = np.kron(step, out)
+    out += 0.0  # the product writes -1 * 0 as -0.0 off the support
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,8 +331,8 @@ def despecialize_matrix(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> De
     For any vector ``w``, ``T diag(w) T_inverse`` is the matrix whose row
     ``A`` moves the signed masses ``mobius_supersets(w)`` from ``X`` to
     ``A & X`` (the Dempsterian matrix of those masses), so the inverse is
-    one Moebius transform and one scatter, O(N**2) for ``N = 2**n``
-    subsets, with neither ``T`` nor ``T_inverse`` built.
+    one Moebius transform and one :func:`_transfer_rows`, O(N**2) for
+    ``N = 2**n`` subsets, with neither ``T`` nor ``T_inverse`` built.
     """
     q = _dempsterian_diagonal(s, tol)
     if np.abs(q).min() <= tol:

@@ -17,7 +17,7 @@ from beliefdyn.documents import (
     subset_key,
 )
 from beliefdyn.errors import InputError
-from beliefdyn.lattice import Frame, default_frame
+from beliefdyn.lattice import Frame, default_frame, mobius_subsets, zeta_subsets
 from beliefdyn.belief import (
     Kind,
     MassFunction,
@@ -370,6 +370,29 @@ class TestConvert:
         main(["convert", path, "--to", "mass"])
         canonical = capsys.readouterr().out
         assert back == canonical
+
+    def test_plausibility_rounding_that_breaks_the_inversion_is_not_written(self, tmp_path):
+        # every pl value sits 4.5e-13 from its 12-digit decimal, on the side that
+        # the inversion adds up: rounded, the full frame's mass would be -2.9e-9
+        n = 14
+        size = 1 << n
+        comp = np.arange(size) ^ (size - 1)
+        start = np.full(size, 1.0 / (size - 2))
+        start[0], start[-1] = 0.0, -5e-9
+        pl0 = 1.0 - zeta_subsets(start / start.sum())[comp]
+        signs = np.array([(-1) ** s.bit_count() for s in range(size)])
+        pl = np.array([float(f"{x:.12g}") for x in pl0]) - signs * 4.5e-13
+        pl[0], pl[-1] = 0.0, 1.0
+        m = MassFunction(default_frame(n), mobius_subsets(1.0 - pl[comp]))
+        assert 4e-9 < m.values[-1] < 5e-9 and m.values[1:-1].min() > 6e-5
+        keys = [subset_key(m.frame, s) for s in range(size)]
+        path = write(tmp_path, "m.json", {"frame": list(m.frame.labels),
+                                          "masses": dict(zip(keys[1:], m.values[1:].tolist()))})
+        pl_path, back_path = str(tmp_path / "pl.json"), str(tmp_path / "back.json")
+        assert main(["convert", path, "--to", "pl", "-o", pl_path]) == 0
+        assert main(["convert", pl_path, "--to", "mass", "-o", back_path]) == 0
+        back = parse_document((tmp_path / "back.json").read_text())
+        assert np.abs(back.values - m.values).max() <= 1e-12
 
     def test_unreadable_file_is_input_error(self, capsys):
         assert main(["convert", "/no/such/file.json", "--to", "bel"]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from beliefdyn.errors import (
     NotDempsterianError,
     SingularSpecializationError,
 )
-from beliefdyn.lattice import default_frame
+from beliefdyn.lattice import CAP_MATRIX, DEFAULT_TOL, _transfer, default_frame
 from beliefdyn.specialization import (
     GeneralizationMatrix,
     SpecializationMatrix,
+    _transfer_rows,
     apply,
     apply_despecialization,
     apply_generalization,
@@ -46,6 +49,11 @@ def invertible_mass(frame, rng, on_full: float = 0.1) -> MassFunction:
     """Random mass mixed with the vacuous one, so every commonality is at least ``on_full``."""
     values = (1.0 - on_full) * random_mass(frame, rng).values + on_full * vacuous(frame).values
     return MassFunction(frame, values)
+
+
+def scattered_rows(a: np.ndarray, op) -> np.ndarray:
+    """The builder's oracle: every matrix row by one scatter of ``lattice._transfer``, in increasing order."""
+    return _transfer(a[..., None, :], op, np.arange(a.shape[-1]))
 
 
 def perturbed_not_dempsterian() -> SpecializationMatrix:
@@ -238,6 +246,61 @@ class TestPredicates:
             apply_generalization(vacuous(frame), g)
         # its index-reversed mirror, a specialization, is rejected by the same bound
         assert not is_valid_specialization(SpecializationMatrix(frame, values[::-1, ::-1]))
+
+
+    def test_dempsterian_decisions_at_the_tolerance(self):
+        # dyadic masses, which the fold and the scatter both sum exactly
+        m = MassFunction.from_masses(F3, {0b001: 3 / 16, 0b011: 5 / 16, 0b110: 2 / 16, 0b111: 6 / 16})
+        base = dempsterian_matrix(m).values
+        assert np.array_equal(base[0b101], np.array([0, 8, 0, 0, 2, 6, 0, 0]) / 16)
+        for factor, accepted in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            values = base.copy()
+            values[0b101, 0] += DEFAULT_TOL * factor  # the empty set lies inside {a, c}
+            assert is_dempsterian(SpecializationMatrix(F3, values)) is accepted
+        assert not is_dempsterian(perturbed_not_dempsterian())
+
+
+class TestFoldBuilder:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_conditioning_and_enlargement_are_the_scatter_bit_for_bit(self, n):
+        frame = default_frame(n)
+        one_hot = np.eye(frame.size)
+        for op, build in ((np.bitwise_and, conditioning_matrix), (np.bitwise_or, enlargement_matrix)):
+            expected = scattered_rows(one_hot, op)
+            assert _transfer_rows(one_hot, op).tobytes() == expected.tobytes()
+            for c in range(frame.size):
+                assert build(frame, c).values.tobytes() == expected[c].tobytes()
+
+    @pytest.mark.parametrize("op", [np.bitwise_and, np.bitwise_or])
+    def test_signed_zeros_and_non_finite_entries(self, op):
+        rng = np.random.default_rng(25)
+        a = rng.random((6, 32)) * (rng.random((6, 32)) < 0.4)
+        a[:, 6] = -0.0  # a column that is zero in every row
+        a[1, 3] = a[2, 9] = -0.0
+        a[3] = -0.0
+        a[4, 17] = np.nan
+        a[5, 5], a[5, 22] = np.inf, -np.inf  # rows where both land on one entry get NaN
+        out, expected = _transfer_rows(a, op), scattered_rows(a, op)
+        finite = np.isfinite(expected)
+        assert np.isnan(expected).any() and np.isinf(expected).any()
+        assert np.array_equal(np.isfinite(out), finite)
+        assert np.array_equal(out[~finite], expected[~finite], equal_nan=True)
+        assert not np.signbit(out[out == 0]).any()
+        assert np.abs(out[finite] - expected[finite]).max() <= 1e-15
+
+    @pytest.mark.parametrize("op", [np.bitwise_and, np.bitwise_or])
+    def test_dense_masses_at_the_cap_are_the_scatter_to_the_last_bits(self, op):
+        # every entry adds nonnegative masses summing to at most 1: the fold's tree
+        # of n levels errs by at most n units in the last place, the scatter's
+        # sequence of up to N terms by N - 1
+        rng = np.random.default_rng(26)
+        a = rng.random(1 << CAP_MATRIX)
+        a /= a.sum()
+        out = _transfer_rows(a, op)
+        unit = np.finfo(float).eps / 2
+        every_mass = (0, 0) if op is np.bitwise_and else (-1, -1)
+        assert abs(out[every_mass] - math.fsum(a)) <= CAP_MATRIX * unit
+        assert np.abs(out - scattered_rows(a, op)).max() <= (a.size - 1 + CAP_MATRIX) * unit
 
 
 class TestCommutation:
