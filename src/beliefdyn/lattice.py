@@ -118,11 +118,6 @@ def require_same_frame(a, b) -> Frame:
     return a.frame
 
 
-def popcounts(size: int) -> np.ndarray:
-    """Array of subset cardinalities for bitmasks ``0 .. size-1``."""
-    return np.array([m.bit_count() for m in range(size)], dtype=np.int64)
-
-
 def _checked(values) -> np.ndarray:
     """``values`` as a float64 array, not copied if it already is one."""
     out = np.asarray(values)

@@ -14,7 +14,8 @@ de-specialization matrices are the linear inverses and realize retraction.
 Every builder fills its rows with :func:`_transfer_rows`, which doubles the
 rows filled so far by one fold per frame element: a row with an element
 missing is the row with it present, conditioned (or, upward, enlarged) once
-more.
+more.  The Dempsterian test and the eigenstructure are that fold and a pass
+in place, and no test gathers entries: each is a few O(N**2) passes.
 
 All dense-matrix operations require ``frame.n <= CAP_MATRIX``.
 """
@@ -99,10 +100,10 @@ class DespecializationMatrix:
 
 
 @functools.cache
-def _subset_support(size: int) -> np.ndarray:
-    """Boolean matrix, True at (A, B) iff B is a subset of A; built once per size, read-only."""
-    idx = np.arange(size)
-    out = (idx[None, :] & ~idx[:, None]) == 0
+def _off_support(size: int, upward: bool = False) -> np.ndarray:
+    """True at (A, B) iff B is not a subset (``upward``: a superset) of A; built once, read-only."""
+    row, col = np.arange(size)[:, None], np.arange(size)
+    out = ((row & ~col) if upward else (col & ~row)) != 0
     out.flags.writeable = False
     return out
 
@@ -163,20 +164,23 @@ def dempsterian_matrix(m: MassFunction) -> SpecializationMatrix:
     return SpecializationMatrix(frame, _transfer_rows(m.values, np.bitwise_and))
 
 
+def _bounded(v: np.ndarray, tol: float) -> np.ndarray:
+    """Per matrix: entries in ``[-tol, 1 + tol]`` and row sums within ``tol`` of one; NaN fails."""
+    ok = (v.min(axis=(-2, -1)) >= -tol) & (v.max(axis=(-2, -1)) <= 1.0 + tol)
+    return ok & (np.abs(v.sum(axis=-1) - 1.0).max(axis=-1) <= tol)
+
+
 def _valid(v: np.ndarray, tol: float, upward: bool = False) -> np.ndarray:
     """Per matrix of a ``(..., N, N)`` stack: the specialization invariants.
 
-    Entries in ``[-tol, 1 + tol]``, row sums within ``tol`` of one, nothing
-    beyond ``tol`` off the support.  ``upward`` tests the generalization
-    invariants instead: the same bounds on the support transposed.  A NaN
-    entry fails.
+    :func:`_bounded`, and no entry above ``tol`` off the support (``upward``:
+    the support transposed, the generalization invariants).  The one-sided
+    test gathers nothing; where the bounds hold no entry is NaN or below
+    ``-tol``, so it decides as ``|entry| <= tol`` would.
     """
-    ok = (v.min(axis=(-2, -1)) >= -tol) & (v.max(axis=(-2, -1)) <= 1.0 + tol)
-    ok &= np.abs(v.sum(axis=-1) - 1.0).max(axis=-1) <= tol
-    outside = ~_subset_support(v.shape[-1])
-    off = v[np.broadcast_to(outside.T if upward else outside, v.shape)]
-    # in place: a second large temporary costs a fresh allocation at the matrix cap
-    return ok & (np.abs(off, out=off).reshape(*v.shape[:-2], -1).max(axis=-1, initial=0.0) <= tol)
+    above = v > tol
+    above &= _off_support(v.shape[-1], upward)
+    return _bounded(v, tol) & ~above.any(axis=(-2, -1))
 
 
 def is_valid_specialization(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> bool:
@@ -190,10 +194,14 @@ def is_valid_generalization(g: GeneralizationMatrix, tol: float = DEFAULT_TOL) -
 
 
 def _is_dempsterian(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Per matrix of a stack: valid, and every row the top row conditioned on the row's subset."""
-    ok = _valid(v, tol)
-    gap = v - _transfer_rows(v[..., -1, :], np.bitwise_and)
-    return ok & (np.abs(gap, out=gap).max(axis=(-2, -1)) <= tol)
+    """Per matrix of a stack: :func:`_bounded`, and every row the top row conditioned on its subset.
+
+    The conditioned rows are +0.0 off the support, so a gap (taken in place)
+    of at most ``tol`` bounds the off-support entries as :func:`_valid` does.
+    """
+    gap = _transfer_rows(v[..., -1, :], np.bitwise_and)
+    gap = np.abs(np.subtract(v, gap, out=gap), out=gap).max(axis=(-2, -1))
+    return _bounded(v, tol) & (gap <= tol)
 
 
 def is_dempsterian(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> bool:
@@ -263,7 +271,7 @@ def commute_check(
 def incidence_matrix(frame: Frame) -> np.ndarray:
     """0/1 matrix with 1 at (A, B) iff B is a subset of A; ``m . T`` is ``q``."""
     _check_matrix_frame(frame)
-    return _subset_support(frame.size).astype(np.float64)
+    return (~_off_support(frame.size)).astype(np.float64)
 
 
 def incidence_inverse(frame: Frame) -> np.ndarray:
@@ -271,14 +279,13 @@ def incidence_inverse(frame: Frame) -> np.ndarray:
 
     Built from integer Moebius coefficients, never by numeric inversion: one
     more element doubles the inverse ``K`` on the elements so far to
-    ``[[K, 0], [-K, K]]``, the Kronecker product with ``[[1, 0], [-1, 1]]``.
+    ``[[K, 0], [-K, K]]`` in place, with ``0.0 - K`` so that no zero is -0.0.
     """
     _check_matrix_frame(frame)
-    step = np.array([[1.0, 0.0], [-1.0, 1.0]])  # the inverse on one element
-    out = np.ones((1, 1))
-    for _ in range(frame.n):
-        out = np.kron(step, out)
-    out += 0.0  # the product writes -1 * 0 as -0.0 off the support
+    out = np.eye(frame.size)
+    for b in (1 << i for i in range(frame.n)):
+        out[b : 2 * b, b : 2 * b] = out[:b, :b]
+        np.subtract(0.0, out[:b, :b], out=out[b : 2 * b, :b])
     return out
 
 
@@ -309,16 +316,14 @@ def eigen_structure(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> EigenS
     """Diagonalize a Dempsterian ``s`` as ``T diag(q) T_inverse``.
 
     ``reconstruction_error`` is the max-norm distance from ``s`` to that
-    product.  Left-multiplying by ``T`` sums rows over subsets, so the
-    product is :func:`lattice.zeta_subsets` down the columns of
-    ``diag(q) T_inverse``: O(N**2 n) for ``N = 2**n`` subsets, not a dense
-    O(N**3) product.
+    product, the Dempsterian matrix of the signed masses ``mobius_supersets(q)``
+    (see :func:`despecialize_matrix`): one :func:`_transfer_rows`, O(N**2)
+    for ``N = 2**n`` subsets, with the error taken in place.
     """
-    eigenvalues = _dempsterian_diagonal(s, tol)
-    t_inv = incidence_inverse(s.frame)
-    reconstruction = lattice.zeta_subsets((eigenvalues[:, None] * t_inv).T).T
-    err = float(np.abs(s.values - reconstruction).max())
-    return EigenStructure(s.frame, incidence_matrix(s.frame), eigenvalues, t_inv, err)
+    q = _dempsterian_diagonal(s, tol)
+    gap = _transfer_rows(lattice.mobius_supersets(q), np.bitwise_and)
+    err = float(np.abs(np.subtract(s.values, gap, out=gap), out=gap).max())
+    return EigenStructure(s.frame, incidence_matrix(s.frame), q, incidence_inverse(s.frame), err)
 
 
 def despecialize_matrix(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> DespecializationMatrix:

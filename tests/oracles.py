@@ -78,6 +78,41 @@ def dense_eigen_product(w):
     return (t * w[None, :]) @ naive_incidence_inverse(w.size)
 
 
+def gathered_valid(v, tol, upward=False):
+    """Specialization (``upward``: generalization) invariants per matrix of a ``(k, N, N)`` stack.
+
+    Entries in ``[-tol, 1 + tol]``, row sums within ``tol`` of one, and the
+    off-support entries gathered into one copy whose largest magnitude is at
+    most ``tol``: the two-sided test, as the library made it before its
+    one-sided, gather-free form.
+    """
+    v = np.asarray(v, dtype=float)
+    size = v.shape[-1]
+    outside = np.array([[not is_subset(b, a) for b in range(size)] for a in range(size)])
+    ok = (v.min(axis=(-2, -1)) >= -tol) & (v.max(axis=(-2, -1)) <= 1.0 + tol)
+    ok &= np.abs(v.sum(axis=-1) - 1.0).max(axis=-1) <= tol
+    off = v[np.broadcast_to(outside.T if upward else outside, v.shape)]
+    return ok & (np.abs(off).reshape(v.shape[0], -1).max(axis=-1, initial=0.0) <= tol)
+
+
+def gathered_is_dempsterian(v, tol):
+    """:func:`gathered_valid`, and every row within ``tol`` of the top row conditioned on its subset.
+
+    The conditioned rows come from one ``np.add.at`` scatter of the top row
+    to ``X & A`` in increasing ``X`` order, so they are the library's fold
+    bit for bit wherever every partial sum is exact (dyadic masses).
+    """
+    v = np.asarray(v, dtype=float)
+    k, size = v.shape[0], v.shape[-1]
+    idx = np.arange(size)
+    rows = np.zeros_like(v)
+    with np.errstate(invalid="ignore"):  # inf + -inf and inf - inf give NaN, which fails
+        for i in range(k):
+            np.add.at(rows[i], (idx[:, None], idx[:, None] & idx[None, :]), v[i, -1][None, :])
+        gap = np.abs(v - rows).max(axis=(-2, -1))
+    return gathered_valid(v, tol) & (gap <= tol)
+
+
 def naive_bel(masses):
     masses = np.asarray(masses, dtype=float)
     return np.array(

@@ -17,7 +17,6 @@ from beliefdyn.lattice import (
     mobius_subsets,
     mobius_supersets,
     order_of,
-    popcounts,
     zeta_subsets,
     zeta_supersets,
 )
@@ -75,9 +74,6 @@ class TestFrame:
 
 
 class TestSubsetOps:
-    def test_popcounts(self):
-        assert popcounts(8).tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
-
     def test_order_of(self):
         assert order_of(16) == 4
         with pytest.raises(ValueError):

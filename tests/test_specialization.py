@@ -16,7 +16,10 @@ from beliefdyn.lattice import CAP_MATRIX, DEFAULT_TOL, _transfer, default_frame
 from beliefdyn.specialization import (
     GeneralizationMatrix,
     SpecializationMatrix,
+    _bounded,
+    _is_dempsterian,
     _transfer_rows,
+    _valid,
     apply,
     apply_despecialization,
     apply_generalization,
@@ -34,7 +37,12 @@ from beliefdyn.specialization import (
     is_valid_specialization,
 )
 from beliefdyn.verify import random_mass, random_specialization
-from oracles import dense_eigen_product, naive_incidence_inverse
+from oracles import (
+    dense_eigen_product,
+    gathered_is_dempsterian,
+    gathered_valid,
+    naive_incidence_inverse,
+)
 
 F2 = default_frame(2)
 F3 = default_frame(3)
@@ -260,6 +268,82 @@ class TestPredicates:
         assert not is_dempsterian(perturbed_not_dempsterian())
 
 
+def dyadic_masses(rng, count: int, size: int) -> np.ndarray:
+    """``count`` random mass vectors in multiples of 2**-10, so every conditioning sum is exact."""
+    return rng.multinomial(1 << 10, rng.dirichlet(np.ones(size)), size=count) / (1 << 10)
+
+
+def planted_defects(n: int, rng, upward: bool) -> np.ndarray:
+    """A ``(k, N, N)`` stack of valid matrices, most with one defect planted at the tolerance or beyond.
+
+    An off-support entry moved to ``±tol * (1 ± 1e-6)`` takes its amount
+    from the row's largest entry, so the row sum stays within ``tol``;
+    the other defects are a support entry moved by ``±tol * (1 ± 1e-6)``, a
+    NaN, ``±inf``, a row sum off by ``2 tol`` and a row mixed with the empty
+    set (generalization: the frame).
+    """
+    size = 1 << n
+    tol = DEFAULT_TOL
+    amounts = [s * tol * f for s in (1, -1) for f in (1 - 1e-6, 1 + 1e-6)]
+    kinds = ["none", *(("off", a) for a in amounts), *(("on", a) for a in amounts),
+             "nan", "inf", "-inf", "sum", "mix"]
+    v = _transfer_rows(dyadic_masses(rng, 3 * len(kinds), size), np.bitwise_or if upward else np.bitwise_and)
+    subsets = np.arange(size)
+    for i, kind in enumerate(kinds * 3):
+        a = int(rng.integers(size - 1)) + upward  # skip the one row whose support is every column
+        support = (a & ~subsets == 0) if upward else (subsets & ~a == 0)
+        if kind == "none":
+            continue
+        if kind == "sum":
+            v[i, a] *= 1.0 + 2 * tol
+        elif kind == "mix":
+            v[i, a] = 0.5 * v[i, a] + 0.5 * np.eye(size)[-1 if upward else 0]
+        elif kind in ("nan", "inf", "-inf"):
+            v[i, a, int(rng.integers(size))] = float(kind)
+        elif kind[0] == "on":
+            v[i, a, rng.choice(subsets[support])] += kind[1]
+        else:
+            v[i, a, rng.choice(subsets[~support])] += kind[1]
+            v[i, a, v[i, a].argmax()] -= kind[1]
+    return v
+
+
+class TestGatherFreeDecisions:
+    """The one-sided, gather-free tests decide as the two-sided gathers did."""
+
+    @pytest.mark.parametrize("upward", [False, True])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_decisions_as_the_gather(self, n, upward):
+        rng = np.random.default_rng(700 + 10 * n + upward)
+        v = planted_defects(n, rng, upward)
+        with np.errstate(invalid="ignore"):
+            valid = _valid(v, DEFAULT_TOL, upward)
+            assert np.array_equal(valid, gathered_valid(v, DEFAULT_TOL, upward))
+            if not upward:
+                dempsterian = _is_dempsterian(v)
+                assert np.array_equal(dempsterian, gathered_is_dempsterian(v, DEFAULT_TOL))
+                assert dempsterian.any() and not dempsterian.all()
+        # the first planted off-support entries: +tol * (1 - 1e-6) passes, +tol * (1 + 1e-6) fails
+        assert valid[1] and not valid[2]
+
+    def test_one_off_support_entry_fails_the_gap(self):
+        # dyadic masses; the entry's amount comes from the row's four support entries,
+        # tol / 2 each, so only the off-support entry is beyond the tolerance
+        m = MassFunction.from_masses(F3, {0b001: 3 / 16, 0b011: 5 / 16, 0b110: 2 / 16, 0b111: 6 / 16})
+        values = dempsterian_matrix(m).values.copy()
+        row = 0b011
+        values[row, 0b100] += 2 * DEFAULT_TOL
+        values[row, [0b000, 0b001, 0b010, 0b011]] -= DEFAULT_TOL / 2
+        s = SpecializationMatrix(F3, values)
+        assert _bounded(values, DEFAULT_TOL)
+        assert not is_valid_specialization(s)
+        assert not is_dempsterian(s)
+        with pytest.raises(NotDempsterianError):
+            eigen_structure(s)
+        with pytest.raises(NotDempsterianError):
+            despecialize_matrix(s)
+
+
 class TestFoldBuilder:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_conditioning_and_enlargement_are_the_scatter_bit_for_bit(self, n):
@@ -437,6 +521,18 @@ class TestEigenStructure:
         values[0b11] = [0.5, 0.25, 0.25, 0.0]
         with pytest.raises(NotDempsterianError):
             eigen_structure(SpecializationMatrix(F2, values))
+
+    def test_near_the_cap_matches_the_naive_products(self):
+        frame = default_frame(9)
+        s = dempsterian_matrix(invertible_mass(frame, np.random.default_rng(160)))
+        structure = eigen_structure(s)
+        expected = naive_incidence_inverse(frame.size)
+        assert np.array_equal(structure.t_inverse, expected)
+        assert np.array_equal(np.signbit(structure.t_inverse), np.signbit(expected))
+        assert np.array_equal(structure.transform, expected != 0)
+        assert not np.signbit(structure.transform).any()
+        dense = np.abs(s.values - dense_eigen_product(structure.eigenvalues)).max()
+        assert abs(structure.reconstruction_error - dense) <= 1e-12
 
 
 class TestDespecialization:
