@@ -167,7 +167,9 @@ def dempsterian_matrix(m: MassFunction) -> SpecializationMatrix:
 def _bounded(v: np.ndarray, tol: float) -> np.ndarray:
     """Per matrix: entries in ``[-tol, 1 + tol]`` and row sums within ``tol`` of one; NaN fails."""
     ok = (v.min(axis=(-2, -1)) >= -tol) & (v.max(axis=(-2, -1)) <= 1.0 + tol)
-    return ok & (np.abs(v.sum(axis=-1) - 1.0).max(axis=-1) <= tol)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf gives NaN, huge rows inf; both fail
+        sums = v.sum(axis=-1)
+    return ok & (np.abs(sums - 1.0).max(axis=-1) <= tol)
 
 
 def _valid(v: np.ndarray, tol: float, upward: bool = False) -> np.ndarray:
@@ -199,8 +201,9 @@ def _is_dempsterian(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     The conditioned rows are +0.0 off the support, so a gap (taken in place)
     of at most ``tol`` bounds the off-support entries as :func:`_valid` does.
     """
-    gap = _transfer_rows(v[..., -1, :], np.bitwise_and)
-    gap = np.abs(np.subtract(v, gap, out=gap), out=gap).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives NaN, huge entries inf; both fail
+        gap = _transfer_rows(v[..., -1, :], np.bitwise_and)
+        gap = np.abs(np.subtract(v, gap, out=gap), out=gap).max(axis=(-2, -1))
     return _bounded(v, tol) & (gap <= tol)
 
 

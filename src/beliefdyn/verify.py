@@ -10,7 +10,9 @@ Instances are evaluated as stacks: each sub-identity runs once over
 ``(k, 2**n)`` rows or ``(k, 2**n, 2**n)`` matrices through the private
 array cores that the public functions wrap, and one :meth:`_Fold.add`
 folds the stack.  A stack's largest per-instance block holds at most
-``_BLOCK`` entries.  Double sums and matrix products use no transform.
+``_BLOCK`` entries.  Double sums and matrix products use no transform, and
+neither does the plausibility product by which the row-dominated sampler
+tests its candidates.
 Sampled masses and matrices are checked once per stack, by the rules of
 ``MassFunction`` and ``is_valid_specialization``.
 """
@@ -26,7 +28,7 @@ import numpy as np
 from . import lattice
 from .belief import MassFunction, _bel, _check_masses, _pl
 from .dynamics import _condition, _conjunctive, _disjunctive, _enlarge, _retract
-from .errors import FrameTooLargeError, InputError, InvalidSpecializationError
+from .errors import FrameMismatchError, FrameTooLargeError, InputError, InvalidSpecializationError
 from .lattice import CAP_MATRIX, DEFAULT_TOL, Frame, _round12, default_frame
 from .specialization import (
     SpecializationMatrix, _apply, _check_matrix_frame, _is_dempsterian, _transfer_rows, _valid,
@@ -201,6 +203,12 @@ def sigma_star_specialization(
 _CANDIDATES_PER_ROW = 40
 
 
+def _meets(size: int) -> np.ndarray:
+    """0/1 matrix, 1 at (X, A) iff ``X & A`` is nonempty: a mass stack times it is its plausibility."""
+    idx = np.arange(size)
+    return ((idx[:, None] & idx) != 0).astype(np.float64)
+
+
 def _dominated(t: np.ndarray, pl0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One specialization per anchor plausibility row of ``pl0``, each of its rows dominated by it.
 
@@ -208,21 +216,26 @@ def _dominated(t: np.ndarray, pl0: np.ndarray, rng: np.random.Generator) -> np.n
     checkable characterization of the matrices whose application always
     yields a state at least as committed as the anchor.  Each round draws a
     candidate for every row not yet accepted (``_CANDIDATES_PER_ROW`` rounds
-    at most); a row none fits takes a fresh candidate shrunk toward the point
-    mass on the empty set until it does.  Rows go in blocks of ``_BLOCK`` entries.
+    at most) and tests its fit by one product against :func:`_meets`, a
+    plausibility route apart from the ``_pl`` that the checks test; a row
+    none fits takes a fresh candidate shrunk toward the point mass on the
+    empty set until it does.  Rows go in blocks of ``_BLOCK`` entries.
     """
     size = len(t)
+    meets = _meets(size)
     out = np.empty((len(pl0) * size, size))
     for rows in _blocks(len(out), size):
+        support, bound = t[rows % size], pl0[rows // size] + TOL_EXACT
         for _ in range(_CANDIDATES_PER_ROW):
-            cand = _random_rows(t[rows % size], rng)
-            fits = (_pl(cand) <= pl0[rows // size] + TOL_EXACT).all(axis=1)
+            cand = _random_rows(support, rng)
+            fits = (cand @ meets <= bound).all(axis=1)
             out[rows[fits]] = cand[fits]
-            rows = rows[~fits]
+            rest = ~fits
+            rows, support, bound = rows[rest], support[rest], bound[rest]
             if not rows.size:
                 break
         if rows.size:
-            cand = _random_rows(t[rows % size], rng)
+            cand = _random_rows(support, rng)
             pl_row = _pl(cand)
             ratio = np.divide(pl0[rows // size], pl_row, out=np.full_like(pl_row, np.inf), where=pl_row > 0.0)
             alpha = np.minimum(1.0, ratio.min(axis=1))
@@ -236,6 +249,8 @@ def dominated_specialization(
     frame: Frame, anchor: MassFunction, rng: np.random.Generator
 ) -> SpecializationMatrix:
     """Random specialization with every row at least as committed as ``anchor``; see :func:`_dominated`."""
+    if anchor.frame != frame:
+        raise FrameMismatchError(f"anchor on frame {anchor.frame.labels}, matrix on {frame.labels}")
     pl0 = _pl(anchor.values)[None]
     return SpecializationMatrix(frame, _dominated(incidence_matrix(frame), pl0, rng)[0])
 

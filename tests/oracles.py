@@ -2,7 +2,9 @@
 
 Everything here is deliberately quadratic (or worse) enumeration straight
 from the defining formulas, kept free of the library's fast transforms so
-the two routes stay independent.
+the two routes stay independent.  The one exception is
+:func:`reference_dominated`, which pins a sampler's draws and so reuses the
+library's plausibility route on purpose.
 """
 
 import json
@@ -111,6 +113,43 @@ def gathered_is_dempsterian(v, tol):
             np.add.at(rows[i], (idx[:, None], idx[:, None] & idx[None, :]), v[i, -1][None, :])
         gap = np.abs(v - rows).max(axis=(-2, -1))
     return gathered_valid(v, tol) & (gap <= tol)
+
+
+def reference_dominated(t, pl0, rng, block, candidates, tol):
+    """Row-dominated specializations drawn as the sampler draws them, with the fit tested by ``_pl``.
+
+    The same uniforms in the same order, row blocks of ``block`` entries,
+    ``candidates`` rounds and the same shrink toward the empty set; each
+    candidate's plausibility comes from the library's butterfly ``_pl``, the
+    route the checks test, where the sampler takes one product.
+    """
+    from beliefdyn.belief import _pl
+
+    def draw(support):
+        w = support * (1.0 - rng.random(support.shape))
+        return w / w.sum(axis=-1, keepdims=True)
+
+    size = len(t)
+    out = np.empty((len(pl0) * size, size))
+    step = max(1, block // size)
+    for start in range(0, len(out), step):
+        rows = np.arange(start, min(start + step, len(out)))
+        for _ in range(candidates):
+            cand = draw(t[rows % size])
+            fits = (_pl(cand) <= pl0[rows // size] + tol).all(axis=1)
+            out[rows[fits]] = cand[fits]
+            rows = rows[~fits]
+            if not rows.size:
+                break
+        if rows.size:
+            cand = draw(t[rows % size])
+            pl_row = _pl(cand)
+            ratio = np.divide(pl0[rows // size], pl_row, out=np.full_like(pl_row, np.inf), where=pl_row > 0.0)
+            alpha = np.minimum(1.0, ratio.min(axis=1))
+            cand *= alpha[:, None]
+            cand[:, 0] += 1.0 - alpha
+            out[rows] = cand
+    return out.reshape(len(pl0), size, size)
 
 
 def naive_bel(masses):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,35 @@ class TestPredicates:
         assert not is_valid_specialization(SpecializationMatrix(frame, values[::-1, ::-1]))
 
 
+    def test_infinite_entry_fails_dempsterian_without_warning(self):
+        values = conditioning_matrix(F2, F2.full).values.copy()
+        values[0b01, 0b01] = np.inf  # so inf - inf in the gap against the conditioned top row
+        values[-1, 0b01] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_dempsterian(SpecializationMatrix(F2, values))
+
+    def test_row_of_both_infinities_fails_without_warning(self):
+        values = np.eye(4)
+        values[0b11, 0b01], values[0b11, 0b10] = np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_valid_specialization(SpecializationMatrix(F2, values))
+            assert not is_dempsterian(SpecializationMatrix(F2, values))
+
+    def test_huge_finite_entries_fail_without_warning(self):
+        # finite, but the row sums, the conditioning fold and the gap overflow to inf
+        values = np.eye(4)
+        values[0b11] = [0.0, 1e308, 1e308, 0.0]
+        big_dempsterian = np.eye(4)
+        big_dempsterian[0b11, 0b01] = -1e308
+        big_dempsterian[0b01, 0b01] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_valid_specialization(SpecializationMatrix(F2, values))
+            assert not is_dempsterian(SpecializationMatrix(F2, values))
+            assert not is_dempsterian(SpecializationMatrix(F2, big_dempsterian))
+
     def test_dempsterian_decisions_at_the_tolerance(self):
         # dyadic masses, which the fold and the scatter both sum exactly
         m = MassFunction.from_masses(F3, {0b001: 3 / 16, 0b011: 5 / 16, 0b110: 2 / 16, 0b111: 6 / 16})
@@ -316,13 +346,12 @@ class TestGatherFreeDecisions:
     def test_same_decisions_as_the_gather(self, n, upward):
         rng = np.random.default_rng(700 + 10 * n + upward)
         v = planted_defects(n, rng, upward)
-        with np.errstate(invalid="ignore"):
-            valid = _valid(v, DEFAULT_TOL, upward)
-            assert np.array_equal(valid, gathered_valid(v, DEFAULT_TOL, upward))
-            if not upward:
-                dempsterian = _is_dempsterian(v)
-                assert np.array_equal(dempsterian, gathered_is_dempsterian(v, DEFAULT_TOL))
-                assert dempsterian.any() and not dempsterian.all()
+        valid = _valid(v, DEFAULT_TOL, upward)
+        assert np.array_equal(valid, gathered_valid(v, DEFAULT_TOL, upward))
+        if not upward:
+            dempsterian = _is_dempsterian(v)
+            assert np.array_equal(dempsterian, gathered_is_dempsterian(v, DEFAULT_TOL))
+            assert dempsterian.any() and not dempsterian.all()
         # the first planted off-support entries: +tol * (1 - 1e-6) passes, +tol * (1 + 1e-6) fails
         assert valid[1] and not valid[2]
 

@@ -4,19 +4,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beliefdyn.belief import MassFunction, pl_from_mass
-from beliefdyn.errors import FrameTooLargeError, InputError
-from beliefdyn.lattice import default_frame
-from beliefdyn.specialization import is_valid_specialization
+from beliefdyn.belief import MassFunction, _pl, pl_from_mass
+from beliefdyn.errors import FrameMismatchError, FrameTooLargeError, InputError
+from beliefdyn.lattice import Frame, default_frame
+from beliefdyn.specialization import incidence_matrix, is_valid_specialization
 from beliefdyn.verify import (
     CHECK_NAMES,
     CheckReport,
     EXHAUSTIVE_CHECKS,
     TOL,
+    TOL_EXACT,
     _BLOCK,
+    _CANDIDATES_PER_ROW,
     _CHECKS,
     _Fold,
     _blocks,
+    _dominated,
+    _meets,
+    _random_masses,
+    _random_rows,
     _witness,
     all_passed,
     check_combination_least_committed,
@@ -33,6 +39,7 @@ from beliefdyn.verify import (
     run_all,
     sigma_star_specialization,
 )
+from oracles import reference_dominated
 
 F3 = default_frame(3)
 
@@ -82,6 +89,37 @@ class TestSamplers:
         s = dominated_specialization(F3, anchor, np.random.default_rng(4))
         assert is_valid_specialization(s)
         assert np.array_equal(s.values, np.eye(8)[[0] * 8])
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_dominated_draws_match_the_pl_route(self, n):
+        # the product fit test accepts the same candidates as the butterfly,
+        # so every draw, fallback rows included, is the same bit for bit;
+        # 70 anchors span two row blocks at n=4, and the point mass on the
+        # empty set sends every row but the empty set's to the fallback
+        size = 1 << n
+        t = incidence_matrix(default_frame(n))
+        for seed in range(10):
+            rng = np.random.default_rng(100 * n + seed)
+            pl0 = _pl(np.vstack([np.eye(size)[:1], _random_masses(size, 69, rng)]))
+            got = _dominated(t, pl0, np.random.default_rng(seed))
+            want = reference_dominated(t, pl0, np.random.default_rng(seed), _BLOCK, _CANDIDATES_PER_ROW, TOL_EXACT)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got[0, 1:], np.eye(size)[[0] * (size - 1)])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_meets_product_is_the_plausibility(self, n):
+        size = 1 << n
+        rng = np.random.default_rng(30 + n)
+        cand = _random_rows(np.broadcast_to(incidence_matrix(default_frame(n)), (20, size, size)), rng)
+        np.testing.assert_allclose(cand @ _meets(size), _pl(cand), rtol=0.0, atol=8 * np.finfo(float).eps)
+
+    def test_dominated_rejects_an_anchor_from_another_frame(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(FrameMismatchError):
+            dominated_specialization(F3, random_mass(default_frame(2), rng), rng)
+        relabelled = MassFunction(Frame(("x", "y", "z")), random_mass(F3, rng).values)
+        with pytest.raises(FrameMismatchError):
+            dominated_specialization(F3, relabelled, rng)
 
     def test_dominated_specialization_memory_is_bounded(self):
         # one candidate per pending row a round, in row blocks: far below a single
