@@ -5,6 +5,14 @@ every subset ``A``: it allocates no more potential support anywhere.  The
 least committed state of all is the vacuous one.  An equivalent formulation
 compares ``b(A) = bel(A) + m(empty)`` with the inequality reversed; both are
 implemented and must agree on every input.
+
+:func:`compare` runs one transform: ``d = b1 - b2`` is the subset sum of
+``m1 - m2``, and since ``pl(A) = b(full) - b(complement of A)``, the
+plausibility excess ``pl1 - pl2`` is ``d[full] - d`` read at the
+complement of each subset.  The classification looks only at signs against
+the tolerance, not at which subset holds them, so the excess needs no
+reordering.  :func:`compare_bel_form` transforms each state on its own,
+an independent route for the tests to hold it against.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import enum
 import numpy as np
 
 from . import lattice
-from .belief import MassFunction, _pl
+from .belief import MassFunction
 from .lattice import DEFAULT_TOL, require_same_frame
 
 
@@ -26,7 +34,7 @@ class Ordering(enum.Enum):
 
 
 def _classify(first_excess: np.ndarray, tol: float) -> Ordering:
-    """Ordering from the pointwise excess of the first state's pl over the second's."""
+    """Ordering from the pointwise excess of the first state's pl over the second's, in any subset order."""
     first_above = bool((first_excess > tol).any())
     second_above = bool((first_excess < -tol).any())
     if first_above and second_above:
@@ -45,9 +53,9 @@ def compare(m1: MassFunction, m2: MassFunction, tol: float = DEFAULT_TOL) -> Ord
     floating-point ties never turn EQUAL into a strict ordering.
     """
     require_same_frame(m1, m2)
-    excess = _pl(m1.values)
-    excess -= _pl(m2.values)
-    return _classify(excess, tol)
+    d = lattice.zeta_subsets(m1.values - m2.values)
+    # pl1 - pl2 at the complement of each subset
+    return _classify(np.subtract(d[-1], d, out=d), tol)
 
 
 def compare_bel_form(m1: MassFunction, m2: MassFunction, tol: float = DEFAULT_TOL) -> Ordering:

@@ -183,6 +183,23 @@ def _butterfly(values, upward: bool, op) -> np.ndarray:
     return out
 
 
+def _focal(a: np.ndarray) -> np.ndarray:
+    """Subsets nonzero in some row of the stack ``a``, in increasing order."""
+    return np.flatnonzero(a.reshape(-1, a.shape[-1]).any(axis=0))
+
+
+def _scatter(target: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Rows of ``size`` entries, each the sum of its row's ``weights`` at ``target``.
+
+    ``weights`` has the shape ``(..., k)``, and ``target`` broadcasts against
+    it.  One ``np.bincount`` over row-offset targets fills every row; each
+    entry sums its inputs in their order along the last axis, from +0.0.
+    """
+    lead = weights.shape[:-1]
+    rows = np.arange(0, size * np.prod(lead, dtype=np.int64), size).reshape(*lead, 1)
+    return np.bincount((target + rows).ravel(), weights.ravel(), rows.size * size).reshape(*lead, size)
+
+
 def _transfer(a: np.ndarray, op, c) -> np.ndarray:
     """Each row of ``a`` with its entry at ``X`` moved to ``op(X, c)``, in one scatter.
 
@@ -195,13 +212,23 @@ def _transfer(a: np.ndarray, op, c) -> np.ndarray:
     ``X`` order from +0.0, which a skipped zero leaves unchanged, so a row of
     a stack is bit for bit the row on its own.
     """
-    size = a.shape[-1]
-    lead = np.broadcast_shapes(a.shape[:-1], np.shape(c))
-    focal = np.flatnonzero(a.reshape(-1, size).any(axis=0))
-    rows = np.arange(0, size * np.prod(lead, dtype=np.int64), size).reshape(*lead, 1)
-    target = op(focal, np.asarray(c)[..., None]) + rows
-    weights = np.broadcast_to(a[..., focal], target.shape).ravel()
-    return np.bincount(target.ravel(), weights, rows.size * size).reshape(*lead, size)
+    focal = _focal(a)
+    target = op(focal, np.asarray(c)[..., None])
+    lead = np.broadcast_shapes(a.shape[:-1], target.shape[:-1])
+    return _scatter(target, np.broadcast_to(a[..., focal], (*lead, focal.size)), a.shape[-1])
+
+
+def _double_sum(a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray, op) -> np.ndarray:
+    """Row-wise double sum: ``a[..., X] * b[..., Y]`` lands on ``op(X, Y)``, in one scatter.
+
+    ``X`` runs over the subsets ``fa`` and ``Y`` over ``fb``, which must hold
+    every subset nonzero in some row of ``a`` and of ``b`` (all subsets will
+    do).  The leading axes of ``a`` and ``b`` broadcast.  Each entry sums its
+    products in increasing ``(X, Y)`` order from +0.0, which a skipped zero
+    product leaves unchanged, so any such ``fa`` and ``fb`` give the same bits.
+    """
+    weights = a[..., fa, None] * b[..., None, fb]
+    return _scatter(op(fa[:, None], fb).ravel(), weights.reshape(*weights.shape[:-2], -1), a.shape[-1])
 
 
 def zeta_subsets(values) -> np.ndarray:

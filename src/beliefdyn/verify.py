@@ -195,6 +195,7 @@ def sigma_star_specialization(
     condition characterizing the matrices whose output always gives the
     complement of the conditioning set zero plausibility.
     """
+    frame.check_subset(condition_set)
     support = incidence_matrix(frame)[np.arange(frame.size) & condition_set]
     return SpecializationMatrix(frame, _random_rows(support, rng))
 
@@ -392,14 +393,6 @@ def check_eigen_structure(frame: Frame, samples: int = 200, seed=0, inject_fault
     return fold.report()
 
 
-def _double_sum(m0: np.ndarray, m1: np.ndarray, op) -> np.ndarray:
-    """Quadratic double sum per row: ``m0[x] * m1[y]`` lands on ``op(x, y)``, no transform involved."""
-    idx = np.arange(m0.shape[1])
-    target = op(idx[:, None], idx) + idx.size * np.arange(len(m0))[:, None, None]
-    weights = m0[:, :, None] * m1[:, None, :]
-    return np.bincount(target.ravel(), weights.ravel(), m0.size).reshape(m0.shape)
-
-
 def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> CheckReport:
     """Cross-route agreement of the dynamics rules on random instances.
 
@@ -433,7 +426,7 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
 
         # conjunctive rule: fast path vs double sum, q-product, algebra
         m01 = _conjunctive(m0, m1)
-        devs["conj-double-sum"] = _worst(m01 - _double_sum(m0, m1, np.bitwise_and))
+        devs["conj-double-sum"] = _worst(m01 - lattice._double_sum(m0, idx, m1, idx, np.bitwise_and))
         devs["conj-q-product"] = _worst(q(m01) - q(m0) * q(m1))
         devs["conj-commutative"] = _worst(m01 - _conjunctive(m1, m0))
         devs["conj-associative"] = _worst(_conjunctive(m01, m2) - _conjunctive(m0, _conjunctive(m1, m2)))
@@ -454,7 +447,7 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
 
         # disjunctive rule: fast path vs double sum, b-product, matrix path
         m_or = _disjunctive(m0, m1)
-        devs["disj-double-sum"] = _worst(m_or - _double_sum(m0, m1, np.bitwise_or))
+        devs["disj-double-sum"] = _worst(m_or - lattice._double_sum(m0, idx, m1, idx, np.bitwise_or))
         devs["disj-b-product"] = _worst(b(m_or) - b(m0) * b(m1))
         devs["disj-matrix"] = _worst(_apply(m0, _transfer_rows(m1, np.bitwise_or), upward=True) - m_or)
 

@@ -3,10 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from beliefdyn.belief import MassFunction, least_committed_from_disjoint_constraints, vacuous
-from beliefdyn.commitment import Ordering, compare, compare_bel_form, is_at_least_as_committed
+from beliefdyn.belief import MassFunction, _pl, least_committed_from_disjoint_constraints, vacuous
+from beliefdyn.commitment import Ordering, _classify, compare, compare_bel_form, is_at_least_as_committed
 from beliefdyn.errors import FrameMismatchError
-from beliefdyn.lattice import default_frame
+from beliefdyn.lattice import DEFAULT_TOL, default_frame
 from beliefdyn.specialization import apply
 from beliefdyn.verify import random_mass, random_specialization
 
@@ -49,6 +49,56 @@ class TestCompare:
         nudged[-1] -= 1e-12
         nudged[0b01] = 1e-12
         assert compare(MassFunction(F2, values), MassFunction(F2, nudged)) is Ordering.EQUAL
+
+
+def two_pl_compare(m1, m2, tol=DEFAULT_TOL):
+    """The ordering from two plausibility transforms, ``pl1 - pl2`` in subset order."""
+    return _classify(_pl(m1.values) - _pl(m2.values), tol)
+
+
+def nudged(m: MassFunction, eps: float) -> MassFunction:
+    """``m`` with ``eps`` of its largest nonempty mass moved to that set less one element.
+
+    The result is a specialization of ``m``: its plausibility is ``eps`` lower
+    on the subsets that meet the set but miss the smaller one, equal elsewhere.
+    """
+    x = int(m.values[1:].argmax()) + 1
+    values = m.values.copy()
+    values[x] -= eps
+    values[x & (x - 1)] += eps
+    return MassFunction(m.frame, values)
+
+
+class TestOneTransformCompare:
+    @pytest.mark.parametrize("n", [2, 4, 6, 12])
+    def test_agrees_with_both_transform_routes_on_random_pairs(self, n):
+        # unrelated pairs are mostly incomparable; a nudged copy is strictly more committed
+        frame = default_frame(n)
+        rng = np.random.default_rng(60 + n)
+        seen = set()
+        for _ in range(20):
+            m1 = random_mass(frame, rng)
+            for m2 in (random_mass(frame, rng), nudged(m1, m1.values[1:].max() / 2)):
+                for first, second in ((m1, m2), (m2, m1)):
+                    got = compare(first, second)
+                    assert got is two_pl_compare(first, second) is compare_bel_form(first, second)
+                    seen.add(got)
+        assert Ordering.INCOMPARABLE in seen and Ordering.FIRST_MORE_COMMITTED in seen
+
+    @pytest.mark.parametrize("n", [2, 5, 13])
+    @pytest.mark.parametrize("scale, strict", [(0.999, False), (1.001, True)])
+    def test_pairs_nudged_across_the_tolerance(self, n, scale, strict):
+        frame = default_frame(n)
+        rng = np.random.default_rng(70 + n)
+        for _ in range(5):
+            m = random_mass(frame, rng)
+            specialized = nudged(m, scale * DEFAULT_TOL)
+            for first, second, want in ((m, specialized, Ordering.SECOND_MORE_COMMITTED),
+                                        (specialized, m, Ordering.FIRST_MORE_COMMITTED)):
+                want = want if strict else Ordering.EQUAL
+                assert compare(first, second) is want
+                assert two_pl_compare(first, second) is want
+                assert compare_bel_form(first, second) is want
 
 
 class TestBelFormAgreement:

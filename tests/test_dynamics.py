@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beliefdyn import dynamics, lattice
 from beliefdyn.belief import (
     MassFunction,
     bel_from_mass,
@@ -23,7 +24,7 @@ from beliefdyn.errors import (
     NonInvertibleEvidenceError,
     TotalConflictError,
 )
-from beliefdyn.lattice import default_frame, zeta_subsets
+from beliefdyn.lattice import default_frame, mobius_subsets, mobius_supersets, zeta_subsets, zeta_supersets
 from beliefdyn.verify import random_mass
 from oracles import naive_condition, naive_conjunctive, naive_disjunctive
 
@@ -246,6 +247,65 @@ class TestDisjunctiveCombination:
                 bel_from_mass(m0).values * bel_from_mass(m1).values,
                 atol=1e-9,
             )
+
+
+def sparse_mass(frame, focal: int, rng) -> MassFunction:
+    """A bba on ``focal`` distinct subsets drawn at random."""
+    values = np.zeros(frame.size)
+    values[rng.choice(frame.size, focal, replace=False)] = rng.uniform(0.5, 1.5, focal)
+    return MassFunction(frame, values / values.sum())
+
+
+RULES = [
+    (combine_conjunctive, np.bitwise_and, naive_conjunctive, zeta_supersets, mobius_supersets, condition),
+    (combine_disjunctive, np.bitwise_or, naive_disjunctive, zeta_subsets, mobius_subsets, enlarge),
+]
+
+
+@pytest.mark.parametrize("combine, op, oracle, zeta, mobius, transfer", RULES)
+class TestCombinationRoutes:
+    """The double sum runs when ``PAIR_COST * |F0| * |F1| <= n 2**n``; the transforms run otherwise."""
+
+    # (n, |F0|, |F1|, double sum?) on each side of the rule: budgets of 1, 24 and 128 pairs
+    SIDES = [(3, 1, 1, True), (3, 1, 2, False), (6, 4, 6, True), (6, 5, 5, False),
+             (8, 11, 11, True), (8, 9, 15, False)]
+
+    @pytest.mark.parametrize("n, f0, f1, by_pairs", SIDES)
+    def test_both_routes_match_the_oracle_on_each_side(self, combine, op, oracle, zeta, mobius, transfer,
+                                                       n, f0, f1, by_pairs):
+        frame = default_frame(n)
+        rng = np.random.default_rng(90 + n + f0)
+        for _ in range(5):
+            m0, m1 = sparse_mass(frame, f0, rng), sparse_mass(frame, f1, rng)
+            assert (dynamics._focal_pairs(m0.values, m1.values) is not None) == by_pairs
+            want = oracle(m0.values, m1.values)
+            idx = np.arange(frame.size)
+            for got in (combine(m0, m1).values, mobius(zeta(m0.values) * zeta(m1.values)),
+                        lattice._double_sum(m0.values, idx, m1.values, idx, op)):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, focal", [(4, 4), (8, 100), (16, 1 << 16)])
+    def test_categorical_evidence_is_the_transfer_bit_for_bit(self, combine, op, oracle, zeta, mobius, transfer,
+                                                              n, focal):
+        # the paper's conditioning is combination with categorical evidence
+        frame = default_frame(n)
+        rng = np.random.default_rng(100 + n)
+        m = sparse_mass(frame, focal, rng)
+        for c in rng.integers(frame.size, size=3):
+            categorical = MassFunction.from_masses(frame, {int(c): 1.0})
+            assert dynamics._focal_pairs(m.values, categorical.values) is not None
+            assert combine(m, categorical).values.tobytes() == transfer(m, int(c)).values.tobytes()
+
+    def test_no_mass_outside_the_pair_targets_at_the_frame_cap(self, combine, op, oracle, zeta, mobius, transfer):
+        frame = default_frame(20)
+        rng = np.random.default_rng(110)
+        m0, m1 = sparse_mass(frame, 256, rng), sparse_mass(frame, 33, rng)
+        out = combine(m0, m1).values
+        targets = np.unique(op(np.flatnonzero(m0.values)[:, None], np.flatnonzero(m1.values)))
+        assert np.isin(np.flatnonzero(out), targets).all()
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
+        by_transforms = mobius(zeta(m0.values) * zeta(m1.values))
+        np.testing.assert_allclose(out, by_transforms, rtol=0.0, atol=4 * np.finfo(float).eps)
 
 
 class TestRetract:

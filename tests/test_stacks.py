@@ -1,7 +1,8 @@
 """The stacked evaluation of the checks speaks for the public API.
 
 Each rule's private array core must give, on every row of a stack, the bits
-the public function gives on that row alone; and a fault planted in a core
+the public function gives on that row alone (for a combination, when the
+row and its stack take the same route); and a fault planted in a core
 must fail its check with a witness that replays through the public
 functions on its own.
 """
@@ -68,6 +69,8 @@ class TestCoresEqualPublicRowByRow:
         _, b, ms1 = stack(n, 4)
         conj, disj = dynamics._conjunctive(a, b), dynamics._disjunctive(a, b)
         for i in range(K):
+            # a row sparse enough for the double sum alone can differ from its stack in the last bit
+            assert dynamics._focal_pairs(a[i], b[i]) is None
             assert same_bits(conj[i], combine_conjunctive(ms0[i], ms1[i]).values)
             assert same_bits(disj[i], combine_disjunctive(ms0[i], ms1[i]).values)
 
@@ -137,11 +140,35 @@ class TestCoresEqualPublicRowByRow:
         _, b, _ = stack(n, 13)
         idx = np.arange(a.shape[1])
         for op in (np.bitwise_and, np.bitwise_or):
-            out = verify._double_sum(a, b, op)
+            out = lattice._double_sum(a, idx, b, idx, op)
+            focal = lattice._double_sum(a, lattice._focal(a), b, lattice._focal(b), op)
             for i in range(K):
                 ref = np.zeros(a.shape[1])
                 np.add.at(ref, op(idx[:, None], idx), np.multiply.outer(a[i], b[i]))
-                assert same_bits(out[i], ref)
+                assert same_bits(out[i], ref) and same_bits(focal[i], ref)
+
+
+def sparse_stack(n: int, focal: int, seed: int):
+    """``K`` bbas drawn over one set of ``focal`` subsets, some rows missing some of them."""
+    frame = default_frame(n)
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((K, frame.size))
+    sets = rng.choice(frame.size, focal, replace=False)
+    rows[:, sets] = rng.random((K, focal)) * (rng.random((K, focal)) < 0.7)
+    rows[:, sets[0]] += 0.1
+    return frame, rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n, focal", [(4, 2), (6, 4), (10, 20), (14, 100)])
+def test_sparse_stack_on_the_double_sum_is_its_rows(n, focal):
+    frame, a = sparse_stack(n, focal, 15)
+    _, b = sparse_stack(n, focal, 16)
+    assert dynamics._focal_pairs(a, b) is not None
+    conj, disj = dynamics._conjunctive(a, b), dynamics._disjunctive(a, b)
+    for i in range(K):
+        m0, m1 = MassFunction(frame, a[i]), MassFunction(frame, b[i])
+        assert same_bits(conj[i], combine_conjunctive(m0, m1).values)
+        assert same_bits(disj[i], combine_disjunctive(m0, m1).values)
 
 
 def test_sampled_masses_pass_the_mass_function_rules():

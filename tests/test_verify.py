@@ -70,6 +70,12 @@ class TestSamplers:
                 if b & ~c:
                     assert not s.values[:, b].any()
 
+    @pytest.mark.parametrize("c", [8, -1])
+    def test_sigma_star_rejects_a_set_outside_the_frame(self, c):
+        # the support gather folds any integer into range: 8 read as the empty set, -1 as the frame
+        with pytest.raises(FrameMismatchError):
+            sigma_star_specialization(F3, c, np.random.default_rng(2))
+
     def test_dominated_rows_are_dominated(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
