@@ -17,6 +17,13 @@ missing is the row with it present, conditioned (or, upward, enlarged) once
 more.  The Dempsterian test and the eigenstructure are that fold and a pass
 in place, and no test gathers entries: each is a few O(N**2) passes.
 
+Each matrix is built once.  The matrix classes adopt a read-only float64
+array that owns its memory, which is how every builder hands over its
+fresh rows, and copy anything else, so no later write through a caller's
+array reaches a matrix.  The incidence matrix ``T`` and its inverse are
+built once per frame size; every :class:`EigenStructure` on that size
+shares them as read-only views.
+
 All dense-matrix operations require ``frame.n <= CAP_MATRIX``.
 """
 
@@ -48,8 +55,18 @@ def _check_matrix_frame(frame: Frame) -> Frame:
 
 
 def _frozen_matrix(frame: Frame, values) -> np.ndarray:
+    """``values`` as a read-only float64 matrix; adopted if it already is one that owns its memory.
+
+    A writable array, or a read-only view of one, is copied: its owner could
+    still write through it.
+    """
     _check_matrix_frame(frame)
-    out = np.array(values, dtype=np.float64)
+    out = np.asarray(values)
+    if np.iscomplexobj(out):
+        raise InvalidSpecializationError("matrix entries must be real, got complex values")
+    owned = out.flags.owndata and not out.flags.writeable
+    if not (owned and type(out) is np.ndarray and out.dtype == np.float64):
+        out = np.array(out, dtype=np.float64)
     if out.shape != (frame.size, frame.size):
         raise InvalidSpecializationError(
             f"expected a {frame.size}x{frame.size} matrix, got shape {out.shape}"
@@ -62,8 +79,11 @@ def _frozen_matrix(frame: Frame, values) -> np.ndarray:
 class SpecializationMatrix:
     """Row-stochastic operator with support on ``B subset of A`` (row A, column B).
 
-    Construction only checks the shape; use :func:`is_valid_specialization`
-    to test the invariants, which :func:`apply` enforces.
+    Construction only checks the shape and rejects complex entries; use
+    :func:`is_valid_specialization` to test the invariants, which
+    :func:`apply` enforces.  ``values`` is adopted uncopied when it is a
+    read-only float64 array that owns its memory, and copied otherwise; the
+    same holds for the other two matrix classes.
     """
 
     frame: Frame
@@ -75,7 +95,11 @@ class SpecializationMatrix:
 
 @dataclass(frozen=True, eq=False)
 class GeneralizationMatrix:
-    """Row-stochastic operator with support on ``B superset of A``."""
+    """Row-stochastic operator with support on ``B superset of A``.
+
+    Constructed as :class:`SpecializationMatrix` is; :func:`is_valid_generalization`
+    tests the invariants.
+    """
 
     frame: Frame
     values: np.ndarray
@@ -90,6 +114,7 @@ class DespecializationMatrix:
 
     Applicable only to mass functions that actually contain the evidence
     being removed; :func:`apply_despecialization` rejects anything else.
+    Constructed as :class:`SpecializationMatrix` is.
     """
 
     frame: Frame
@@ -145,6 +170,12 @@ def _transfer_rows(values: np.ndarray, op) -> np.ndarray:
     return out
 
 
+def _sealed(out: np.ndarray) -> np.ndarray:
+    """``out``, a fresh builder result, made read-only so that a matrix constructor adopts it uncopied."""
+    out.flags.writeable = False
+    return out
+
+
 def conditioning_matrix(frame: Frame, condition_set: int) -> SpecializationMatrix:
     """0/1 matrix with the single 1 of row ``A`` at column ``A & condition_set``.
 
@@ -155,13 +186,13 @@ def conditioning_matrix(frame: Frame, condition_set: int) -> SpecializationMatri
     frame.check_subset(condition_set)
     categorical = np.zeros(frame.size)
     categorical[condition_set] = 1.0
-    return SpecializationMatrix(frame, _transfer_rows(categorical, np.bitwise_and))
+    return SpecializationMatrix(frame, _sealed(_transfer_rows(categorical, np.bitwise_and)))
 
 
 def dempsterian_matrix(m: MassFunction) -> SpecializationMatrix:
     """Matrix whose row ``A`` is ``m`` conditioned on ``A``; row full is ``m`` itself."""
     frame = _check_matrix_frame(m.frame)
-    return SpecializationMatrix(frame, _transfer_rows(m.values, np.bitwise_and))
+    return SpecializationMatrix(frame, _sealed(_transfer_rows(m.values, np.bitwise_and)))
 
 
 def _bounded(v: np.ndarray, tol: float) -> np.ndarray:
@@ -271,25 +302,42 @@ def commute_check(
     return deviation <= tol, deviation
 
 
+@functools.cache
+def _incidence_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``T`` and ``T_inverse`` on ``size`` subsets; built once, read-only.
+
+    ``T`` is 1.0 where :func:`_off_support` is False.  The inverse is built
+    from integer Moebius coefficients, never by numeric inversion: one more
+    element doubles the inverse ``K`` on the elements so far to
+    ``[[K, 0], [-K, K]]`` in place, with ``0.0 - K`` so that no zero is -0.0.
+    """
+    t = (~_off_support(size)).astype(np.float64)
+    t_inverse = np.eye(size)
+    b = 1
+    while b < size:
+        t_inverse[b : 2 * b, b : 2 * b] = t_inverse[:b, :b]
+        np.subtract(0.0, t_inverse[:b, :b], out=t_inverse[b : 2 * b, :b])
+        b *= 2
+    t.flags.writeable = t_inverse.flags.writeable = False
+    return t, t_inverse
+
+
 def incidence_matrix(frame: Frame) -> np.ndarray:
-    """0/1 matrix with 1 at (A, B) iff B is a subset of A; ``m . T`` is ``q``."""
+    """0/1 matrix with 1 at (A, B) iff B is a subset of A; ``m . T`` is ``q``.
+
+    A fresh writable copy on every call.
+    """
     _check_matrix_frame(frame)
-    return (~_off_support(frame.size)).astype(np.float64)
+    return _incidence_pair(frame.size)[0].copy()
 
 
 def incidence_inverse(frame: Frame) -> np.ndarray:
     """Exact inverse of :func:`incidence_matrix`: ``(-1)**|A - B|`` for B subset of A.
 
-    Built from integer Moebius coefficients, never by numeric inversion: one
-    more element doubles the inverse ``K`` on the elements so far to
-    ``[[K, 0], [-K, K]]`` in place, with ``0.0 - K`` so that no zero is -0.0.
+    A fresh writable copy on every call.
     """
     _check_matrix_frame(frame)
-    out = np.eye(frame.size)
-    for b in (1 << i for i in range(frame.n)):
-        out[b : 2 * b, b : 2 * b] = out[:b, :b]
-        np.subtract(0.0, out[:b, :b], out=out[b : 2 * b, :b])
-    return out
+    return _incidence_pair(frame.size)[1].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +346,10 @@ class EigenStructure:
 
     The eigenvalues are the commonality values of the generating mass
     function (also the diagonal of ``S``); the rows of ``t_inverse`` are
-    left eigenvectors.
+    left eigenvectors.  ``transform`` and ``t_inverse`` depend only on the
+    frame size: every structure on that size shares them, as read-only views
+    that cannot be made writable again (:func:`incidence_matrix` and
+    :func:`incidence_inverse` give writable copies).
     """
 
     frame: Frame
@@ -326,7 +377,8 @@ def eigen_structure(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> EigenS
     q = _dempsterian_diagonal(s, tol)
     gap = _transfer_rows(lattice.mobius_supersets(q), np.bitwise_and)
     err = float(np.abs(np.subtract(s.values, gap, out=gap), out=gap).max())
-    return EigenStructure(s.frame, incidence_matrix(s.frame), q, incidence_inverse(s.frame), err)
+    t, t_inverse = _incidence_pair(s.frame.size)
+    return EigenStructure(s.frame, t.view(), q, t_inverse.view(), err)
 
 
 def despecialize_matrix(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> DespecializationMatrix:
@@ -349,7 +401,7 @@ def despecialize_matrix(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> De
             f"singular: commonality of subset {worst} is {q[worst]:.3e}"
         )
     signed = lattice.mobius_supersets(1.0 / q)
-    return DespecializationMatrix(s.frame, _transfer_rows(signed, np.bitwise_and))
+    return DespecializationMatrix(s.frame, _sealed(_transfer_rows(signed, np.bitwise_and)))
 
 
 def enlargement_matrix(frame: Frame, indiscernible: int) -> GeneralizationMatrix:
@@ -363,10 +415,10 @@ def enlargement_matrix(frame: Frame, indiscernible: int) -> GeneralizationMatrix
     frame.check_subset(indiscernible)
     categorical = np.zeros(frame.size)
     categorical[indiscernible] = 1.0
-    return GeneralizationMatrix(frame, _transfer_rows(categorical, np.bitwise_or))
+    return GeneralizationMatrix(frame, _sealed(_transfer_rows(categorical, np.bitwise_or)))
 
 
 def disjunctive_matrix(m: MassFunction) -> GeneralizationMatrix:
     """Generalization whose application realizes disjunctive combination with ``m``."""
     frame = _check_matrix_frame(m.frame)
-    return GeneralizationMatrix(frame, _transfer_rows(m.values, np.bitwise_or))
+    return GeneralizationMatrix(frame, _sealed(_transfer_rows(m.values, np.bitwise_or)))

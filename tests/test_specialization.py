@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from beliefdyn import specialization
 from beliefdyn.belief import MassFunction, q_from_mass, vacuous
 from beliefdyn.dynamics import combine_conjunctive, combine_disjunctive, condition
 from beliefdyn.errors import (
@@ -15,6 +16,7 @@ from beliefdyn.errors import (
 )
 from beliefdyn.lattice import CAP_MATRIX, DEFAULT_TOL, _transfer, default_frame
 from beliefdyn.specialization import (
+    DespecializationMatrix,
     GeneralizationMatrix,
     SpecializationMatrix,
     _bounded,
@@ -691,3 +693,124 @@ class TestCaps:
     def test_generalization_shape_checked(self):
         with pytest.raises(InvalidSpecializationError):
             GeneralizationMatrix(F2, np.eye(3))
+
+
+MATRIX_CLASSES = (SpecializationMatrix, GeneralizationMatrix, DespecializationMatrix)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("cls", MATRIX_CLASSES)
+    def test_complex_values_rejected(self, cls):
+        # a complex matrix used to lose its imaginary part with only a
+        # ComplexWarning, and the identity below then passed as valid
+        values = np.eye(4) + 0.5j * np.eye(4)[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for given in (values, values.tolist()):
+                with pytest.raises(InvalidSpecializationError, match="complex"):
+                    cls(F2, given)
+
+    @pytest.mark.parametrize("cls", MATRIX_CLASSES)
+    def test_caller_writes_do_not_reach_the_matrix(self, cls):
+        values = np.eye(4)
+        s = cls(F2, values)
+        values[0, 0] = 7.0
+        assert np.array_equal(s.values, np.eye(4))
+        assert not s.values.flags.writeable
+
+    @pytest.mark.parametrize("cls", MATRIX_CLASSES)
+    def test_read_only_view_of_a_writable_array_is_copied(self, cls):
+        base = np.eye(4)
+        view = base[:]
+        view.flags.writeable = False
+        s = cls(F2, view)
+        base[3, 0] = 7.0
+        assert np.array_equal(s.values, np.eye(4))
+
+    @pytest.mark.parametrize("cls", MATRIX_CLASSES)
+    def test_read_only_float_array_is_adopted(self, cls):
+        values = np.eye(4)
+        values.flags.writeable = False
+        assert cls(F2, values).values is values
+        as_int = np.eye(4, dtype=np.int64)
+        as_int.flags.writeable = False
+        converted = cls(F2, as_int).values
+        assert converted.dtype == np.float64 and not np.shares_memory(converted, as_int)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: conditioning_matrix(F3, 0b101),
+            dempsterian_matrix,
+            lambda m: despecialize_matrix(dempsterian_matrix(m)),
+            lambda m: enlargement_matrix(F3, 0b011),
+            disjunctive_matrix,
+        ],
+        ids=["conditioning", "dempsterian", "despecialize", "enlargement", "disjunctive"],
+    )
+    def test_builder_output_is_adopted_uncopied(self, build, monkeypatch):
+        built = []
+
+        def spy(values, op):
+            built.append(_transfer_rows(values, op))
+            return built[-1]
+
+        m = invertible_mass(F3, np.random.default_rng(15))
+        monkeypatch.setattr(specialization, "_transfer_rows", spy)
+        values = build(m).values
+        assert not values.flags.writeable
+        assert np.shares_memory(values, built[-1])
+
+
+class TestSharedIncidence:
+    @pytest.mark.parametrize("n", [1, 4, CAP_MATRIX])
+    def test_structure_arrays_are_the_public_incidence_pair(self, n):
+        frame = default_frame(n)
+        structure = eigen_structure(dempsterian_matrix(vacuous(frame)))
+        for shared, public in (
+            (structure.transform, incidence_matrix(frame)),
+            (structure.t_inverse, incidence_inverse(frame)),
+        ):
+            assert shared.dtype == public.dtype == np.float64
+            assert np.array_equal(shared, public)
+            assert np.array_equal(np.signbit(shared), np.signbit(public))
+
+    def test_structure_arrays_cannot_be_made_writable(self):
+        structure = eigen_structure(dempsterian_matrix(two_element_example()))
+        for shared in (structure.transform, structure.t_inverse):
+            with pytest.raises(ValueError):
+                shared.flags.writeable = True
+
+    def test_writes_into_public_copies_do_not_reach_later_structures(self):
+        t, t_inverse = incidence_matrix(F3), incidence_inverse(F3)
+        assert t.flags.writeable and t_inverse.flags.writeable
+        t[:] = 5.0
+        t_inverse[:] = 5.0
+        structure = eigen_structure(dempsterian_matrix(vacuous(F3)))
+        assert np.array_equal(structure.transform, naive_incidence_inverse(8) != 0)
+        assert np.array_equal(structure.t_inverse, naive_incidence_inverse(8))
+        assert not np.array_equal(incidence_matrix(F3), t)
+
+
+class TestVerdictsAreNotCached:
+    def test_a_perturbed_entry_is_seen_by_every_later_test(self):
+        m = invertible_mass(F3, np.random.default_rng(16))
+        s = dempsterian_matrix(m)
+        x = random_mass(F3, np.random.default_rng(17))
+        assert is_dempsterian(s)
+        eigen_structure(s)
+        expected = apply(x, s).values
+
+        s.values.flags.writeable = True
+        row = 0b011
+        original = s.values[row, 0]
+        s.values[row, 0] += 1e-3  # the row now sums to 1.001: neither Dempsterian nor valid
+        assert not is_dempsterian(s)
+        with pytest.raises(NotDempsterianError):
+            eigen_structure(s)
+        with pytest.raises(InvalidSpecializationError):
+            apply(x, s)
+
+        s.values[row, 0] = original
+        assert is_dempsterian(s)
+        assert np.array_equal(apply(x, s).values, expected)
