@@ -29,7 +29,7 @@ from .dynamics import (
     retract,
 )
 from .errors import InputError, PreconditionError
-from .lattice import Frame, require_same_frame
+from .lattice import Frame
 from .verify import EXHAUSTIVE_CHECKS, all_passed, format_reports, run_all
 from .specialization import (
     conditioning_matrix,
@@ -84,7 +84,6 @@ def _cmd_combine(args) -> int:
     masses = [_read_mass(path) for path in args.inputs]
     combined = masses[0]
     for m in masses[1:]:
-        require_same_frame(combined, m)
         combined = rule(combined, m)
     _emit(documents.format_mass_document(combined), args.output)
     return 0
@@ -100,26 +99,17 @@ def _cmd_on_subset(args) -> int:
 def _cmd_retract(args) -> int:
     m = _read_mass(args.input)
     evidence = _read_mass(args.evidence)
-    require_same_frame(m, evidence)
     _emit(documents.format_mass_document(retract(m, evidence)), args.output)
     return 0
-
-
-def _frame_from_labels(labels: tuple[str, ...]) -> Frame:
-    try:
-        frame = Frame(labels)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return documents._document_frame(frame)
 
 
 def _matrix_frame(args) -> Frame:
     if args.input is not None:
         return _read_mass(args.input).frame
     if args.frame is not None:
-        return _frame_from_labels(tuple(args.frame.split(",")))
+        return documents._parse_frame(args.frame.split(","))
     if args.conditioning:
-        return _frame_from_labels(tuple(args.conditioning.split("|")))
+        return documents._parse_frame(args.conditioning.split("|"))
     raise InputError("no frame: give an input file, --frame, or a non-empty --conditioning key")
 
 

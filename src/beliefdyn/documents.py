@@ -164,14 +164,15 @@ def _document_frame(frame: Frame) -> Frame:
     return frame
 
 
-def _parse_frame(doc: dict) -> Frame:
-    labels = doc.get("frame")
+def _parse_frame(labels) -> Frame:
+    """The document frame on the list ``labels``; any fault in them is an :class:`InputError`."""
     if not isinstance(labels, list) or not labels:
         raise InputError('document needs a non-empty "frame" list')
     try:
-        return _document_frame(Frame(tuple(labels)))
-    except Exception as exc:
+        frame = Frame(tuple(labels))
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
+    return _document_frame(frame)
 
 
 def _canonical_prefix(frame: Frame, keys: list) -> bool:
@@ -274,7 +275,7 @@ def parse_document(text: str) -> MassFunction | ValueFunction:
         raise InputError(
             f"unexpected key {extra[0]!r} in a {kind} document; it allows only {', '.join(allowed)}"
         )
-    frame = _parse_frame(doc)
+    frame = _parse_frame(doc.get("frame"))
     if "masses" in doc:
         return MassFunction(frame, _parse_values(frame, doc["masses"], "masses"))
     if "values" in doc:

@@ -87,6 +87,21 @@ def _retract(a: np.ndarray, q_evidence: np.ndarray) -> np.ndarray:
     return lattice.mobius_supersets(lattice.zeta_supersets(a) / q_evidence)
 
 
+def _contained(masses: np.ndarray, tol: float, removal: str) -> np.ndarray:
+    """``masses`` left by a ``removal`` of evidence, clipped at zero in place.
+
+    A mass below ``-tol`` means the state never contained the evidence, and
+    raises :class:`EvidenceNotContainedError`.
+    """
+    if masses.min() < -tol:
+        raise EvidenceNotContainedError(
+            f"{removal} yields mass {masses.min():.3e}; "
+            "the belief state does not contain this evidence"
+        )
+    np.clip(masses, 0.0, None, out=masses)
+    return masses
+
+
 def condition(m: MassFunction, condition_set: int) -> MassFunction:
     """Unnormalized conditioning: each mass moves from ``X`` to ``X & condition_set``.
 
@@ -143,14 +158,7 @@ def retract(combined: MassFunction, evidence: MassFunction, tol: float = DEFAULT
         raise NonInvertibleEvidenceError(
             f"evidence commonality at subset {worst} is {q_evidence[worst]:.3e}, not invertible"
         )
-    masses = _retract(combined.values, q_evidence)
-    if masses.min() < -tol:
-        raise EvidenceNotContainedError(
-            f"retraction yields mass {masses.min():.3e}; "
-            "the belief state does not contain this evidence"
-        )
-    np.clip(masses, 0.0, None, out=masses)
-    return MassFunction(combined.frame, masses)
+    return MassFunction(combined.frame, _contained(_retract(combined.values, q_evidence), tol, "retraction"))
 
 
 def enlarge(m: MassFunction, indiscernible: int) -> MassFunction:

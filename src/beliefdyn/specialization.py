@@ -24,6 +24,12 @@ array reaches a matrix.  The incidence matrix ``T`` and its inverse are
 built once per frame size; every :class:`EigenStructure` on that size
 shares them as read-only views.
 
+The private array cores (:func:`_transfer_rows`, :func:`_apply`) compute
+and check nothing; the public functions check their operands, and
+:func:`apply` and :func:`apply_generalization` check their matrix with
+:func:`_checked`.  The verification suite calls the cores, so the matrices
+the builders make, which are what it tests, reach it unchecked.
+
 All dense-matrix operations require ``frame.n <= CAP_MATRIX``.
 """
 
@@ -36,8 +42,8 @@ import numpy as np
 
 from . import lattice
 from .belief import MassFunction
+from .dynamics import _contained
 from .errors import (
-    EvidenceNotContainedError,
     FrameTooLargeError,
     InvalidSpecializationError,
     NotDempsterianError,
@@ -248,29 +254,36 @@ def is_dempsterian(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> bool:
     return bool(_is_dempsterian(s.values, tol))
 
 
-def _apply(a: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL, upward: bool = False) -> np.ndarray:
-    """Each row of ``a`` times its matrix of ``v`` (``(..., N)`` by ``(..., N, N)``).
+def _checked(v: np.ndarray, tol: float = DEFAULT_TOL, upward: bool = False) -> np.ndarray:
+    """``v``, a ``(..., N, N)`` stack, once :func:`_valid` holds for every matrix.
 
-    Every matrix is first checked with :func:`_valid`; one that fails raises
-    :class:`InvalidSpecializationError`.
+    A matrix that fails raises :class:`InvalidSpecializationError`.
     """
     if not _valid(v, tol, upward).all():
         kind = "generalization" if upward else "specialization"
         raise InvalidSpecializationError(f"matrix violates the {kind} invariants")
+    return v
+
+
+def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` times its matrix of ``v`` (``(..., N)`` by ``(..., N, N)``).
+
+    Checks nothing: :func:`apply` and :func:`apply_generalization` check the matrix first.
+    """
     return (a[..., None, :] @ v)[..., 0, :]
 
 
 def apply(m: MassFunction, s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> MassFunction:
     """Specialize ``m`` by ``s`` (row-vector product ``m . s``)."""
     require_same_frame(m, s)
-    return MassFunction(m.frame, _apply(m.values, s.values, tol))
+    return MassFunction(m.frame, _apply(m.values, _checked(s.values, tol)))
 
 
 def apply_generalization(
     m: MassFunction, g: GeneralizationMatrix, tol: float = DEFAULT_TOL
 ) -> MassFunction:
     require_same_frame(m, g)
-    return MassFunction(m.frame, _apply(m.values, g.values, tol, upward=True))
+    return MassFunction(m.frame, _apply(m.values, _checked(g.values, tol, upward=True)))
 
 
 def apply_despecialization(
@@ -283,14 +296,7 @@ def apply_despecialization(
     :class:`EvidenceNotContainedError`.
     """
     require_same_frame(m, d)
-    out = m.values @ d.values
-    if out.min() < -tol:
-        raise EvidenceNotContainedError(
-            f"de-specialization yields mass {out.min():.3e}; "
-            "the belief state does not contain this evidence"
-        )
-    np.clip(out, 0.0, None, out=out)
-    return MassFunction(m.frame, out)
+    return MassFunction(m.frame, _contained(m.values @ d.values, tol, "de-specialization"))
 
 
 def commute_check(

@@ -13,8 +13,10 @@ folds the stack.  A stack's largest per-instance block holds at most
 ``_BLOCK`` entries.  Double sums and matrix products use no transform, and
 neither does the plausibility product by which the row-dominated sampler
 tests its candidates.
-Sampled masses and matrices are checked once per stack, by the rules of
-``MassFunction`` and ``is_valid_specialization``.
+Sampled masses and matrices are checked once, where they are drawn, by
+the rules of ``MassFunction`` and ``is_valid_specialization``.  Matrices
+the library builds are not checked: they are what the checks test, so a
+builder fault is a violation with a witness, not an input error.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ import numpy as np
 from . import lattice
 from .belief import MassFunction, _bel, _check_masses, _pl
 from .dynamics import _condition, _conjunctive, _disjunctive, _enlarge, _retract
-from .errors import FrameMismatchError, FrameTooLargeError, InputError, InvalidSpecializationError
+from .errors import FrameMismatchError, FrameTooLargeError, InputError
 from .lattice import CAP_MATRIX, DEFAULT_TOL, Frame, _round12, default_frame
 from .specialization import (
-    SpecializationMatrix, _apply, _check_matrix_frame, _is_dempsterian, _transfer_rows, _valid,
+    SpecializationMatrix, _apply, _check_matrix_frame, _checked, _is_dempsterian, _transfer_rows,
     incidence_inverse, incidence_matrix,
 )
 
@@ -181,9 +183,23 @@ def _random_rows(support: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
+def _specializations(support: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """:func:`_random_rows` on ``support``, checked as specializations."""
+    return _checked(_random_rows(support, rng))
+
+
 def random_specialization(frame: Frame, rng: np.random.Generator) -> SpecializationMatrix:
     """Random valid specialization: each row a distribution over the row's subsets."""
-    return SpecializationMatrix(frame, _random_rows(incidence_matrix(frame), rng))
+    return SpecializationMatrix(frame, _specializations(incidence_matrix(frame), rng))
+
+
+def _sigma_star(t: np.ndarray, c, rng: np.random.Generator) -> np.ndarray:
+    """A specialization per conditioning set in ``c``, row ``A`` on the subsets of ``A & c``.
+
+    ``t`` is the incidence matrix; this is the support condition that
+    :func:`sigma_star_specialization` describes.
+    """
+    return _specializations(t[np.arange(len(t)) & np.asarray(c)[..., None]], rng)
 
 
 def sigma_star_specialization(
@@ -196,8 +212,7 @@ def sigma_star_specialization(
     complement of the conditioning set zero plausibility.
     """
     frame.check_subset(condition_set)
-    support = incidence_matrix(frame)[np.arange(frame.size) & condition_set]
-    return SpecializationMatrix(frame, _random_rows(support, rng))
+    return SpecializationMatrix(frame, _sigma_star(incidence_matrix(frame), condition_set, rng))
 
 
 # Candidate rows tried per row of a dominated specialization before the fallback.
@@ -220,7 +235,8 @@ def _dominated(t: np.ndarray, pl0: np.ndarray, rng: np.random.Generator) -> np.n
     at most) and tests its fit by one product against :func:`_meets`, a
     plausibility route apart from the ``_pl`` that the checks test; a row
     none fits takes a fresh candidate shrunk toward the point mass on the
-    empty set until it does.  Rows go in blocks of ``_BLOCK`` entries.
+    empty set until it does.  Rows go in blocks of ``_BLOCK`` entries; the
+    stack is checked as specializations.
     """
     size = len(t)
     meets = _meets(size)
@@ -243,7 +259,7 @@ def _dominated(t: np.ndarray, pl0: np.ndarray, rng: np.random.Generator) -> np.n
             cand *= alpha[:, None]
             cand[:, 0] += 1.0 - alpha
             out[rows] = cand
-    return out.reshape(len(pl0), size, size)
+    return _checked(out.reshape(len(pl0), size, size))
 
 
 def dominated_specialization(
@@ -270,7 +286,7 @@ def check_conditioning_least_committed(frame: Frame, samples: int = 500, seed=0)
     t = incidence_matrix(frame)
     for rows in _blocks(samples, frame.size**2):
         c = rng.integers(frame.size, size=rows.size)
-        s = _random_rows(t[np.arange(frame.size) & c[:, None]], rng)
+        s = _sigma_star(t, c, rng)
         m = _random_masses(frame.size, rows.size, rng)
         pl_alt = _pl(_apply(m, s))
         outside = pl_alt[np.arange(rows.size), frame.full ^ c]
@@ -317,14 +333,12 @@ def check_commuting_implies_dempsterian(frame: Frame, samples: int = 100, seed=0
         # violations only: a non-Dempsterian matrix far from commuting is a pass
         for rows in _blocks(samples, size**3):
             support = np.broadcast_to(incidence_matrix(frame), (rows.size, size, size))
-            s = _random_rows(support, rng)
+            s = _specializations(support, rng)
             for _ in range(100):
                 redraw = _is_dempsterian(s)
                 if not redraw.any():
                     break
-                s[redraw] = _random_rows(support[redraw], rng)
-            if not _valid(s, DEFAULT_TOL).all():
-                raise InvalidSpecializationError("a sampled matrix violates the specialization invariants")
+                s[redraw] = _specializations(support[redraw], rng)
             best = _worst(s[:, None] @ conditioners - conditioners @ s[:, None])
             fold.add(~(best > TOL), S=s, best_witness_deviation=best)
     return fold.report()
@@ -449,7 +463,7 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
         m_or = _disjunctive(m0, m1)
         devs["disj-double-sum"] = _worst(m_or - lattice._double_sum(m0, idx, m1, idx, np.bitwise_or))
         devs["disj-b-product"] = _worst(b(m_or) - b(m0) * b(m1))
-        devs["disj-matrix"] = _worst(_apply(m0, _transfer_rows(m1, np.bitwise_or), upward=True) - m_or)
+        devs["disj-matrix"] = _worst(_apply(m0, _transfer_rows(m1, np.bitwise_or)) - m_or)
 
         # enlargement: conditioning is invariant under choices inside the set
         a, x, y = rng.integers(size, size=(3, k))

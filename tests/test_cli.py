@@ -624,11 +624,14 @@ ERROR_CASES = {
     "unknown-kind": ({"m": {"frame": ["a"], "kind": "x", "values": {"": 0.0, "a": 1.0}}},
                      ["convert", "@m", "--to", "mass"], 2),
     "frame-mismatch": ({"m0": PAIR0, "m1": PARTIAL}, ["combine", "@m0", "@m1"], 2),
+    "retract-frame-mismatch": ({"m": PAIR0, "e": PARTIAL}, ["retract", "@m", "--evidence", "@e"], 2),
     "condition-key": ({"m": PAIR0}, ["condition", "@m", "--on", "z"], 2),
     "enlarge-key": ({"m": PAIR0}, ["enlarge", "@m", "--on", "a|a"], 2),
     "matrix-frame-cap": ({"m": matrix_frame_doc(11)}, ["matrix", "@m", "--kind", "dempsterian"], 2),
     "matrix-separator": ({}, ["matrix", "--kind", "specialization", "--frame", "x|y,z",
                               "--conditioning", "z"], 2),
+    "matrix-repeated-label": ({}, ["matrix", "--kind", "specialization", "--frame", "a,a",
+                                   "--conditioning", "a"], 2),
     "negative-seed": ({}, ["check", "--n", "1", "--seed", "-1"], 2),
     "sizes-not-integers": ({}, ["check", "--n", "1,x"], 2),
     "size-beyond-cap": ({}, ["check", "--n", "11"], 2),

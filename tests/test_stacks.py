@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from beliefdyn import belief, dynamics, lattice, specialization, verify
+from beliefdyn import belief, cli, dynamics, lattice, specialization, verify
 from beliefdyn.belief import MassFunction, bel_from_mass, pl_from_bel, pl_from_mass, q_from_mass
 from beliefdyn.dynamics import (
     combine_conjunctive,
@@ -111,7 +111,7 @@ class TestCoresEqualPublicRowByRow:
         _, b, _ = stack(n, 10)
         s = specialization._transfer_rows(b, np.bitwise_and)
         g = specialization._transfer_rows(b, np.bitwise_or)
-        spec, gen = specialization._apply(a, s), specialization._apply(a, g, upward=True)
+        spec, gen = specialization._apply(a, s), specialization._apply(a, g)
         for i, m in enumerate(ms):
             assert same_bits(spec[i], apply(m, SpecializationMatrix(frame, s[i])).values)
             assert same_bits(gen[i], apply_generalization(m, GeneralizationMatrix(frame, g[i])).values)
@@ -245,6 +245,15 @@ def test_fault_in_builder_fails_commuting_implies_dempsterian(monkeypatch):
     assert dev > verify.TOL and dev == pytest.approx(w["deviation"], abs=1e-9)
 
 
+def test_builder_fault_breaking_validity_fails_the_check_cli_with_witnesses(monkeypatch, capsys):
+    # built matrices are what the checks test: an invalid one is a violation, not an input error
+    real = specialization._transfer_rows
+    patch(monkeypatch, "_transfer_rows", specialization, lambda v, op: (1 + 1e-8) * real(v, op))
+    assert cli.main(["check"]) == 1
+    captured = capsys.readouterr()
+    assert "    witness: {" in captured.out and captured.err == ""
+
+
 def test_fault_in_conjunctive_fails_dempsterian_commutation(monkeypatch):
     patch(monkeypatch, "_conjunctive", dynamics, mix_vacuous(dynamics._conjunctive))
     w = failed_witness(verify.check_dempsterian_commutation(F3, samples=20, seed=3))
@@ -320,3 +329,16 @@ def test_invalid_sampled_matrices_raise(monkeypatch):
                   verify.check_combination_least_committed):
         with pytest.raises(InvalidSpecializationError, match="specialization invariants"):
             check(frame, samples=3)
+
+
+def test_invalid_sampled_public_matrices_raise(monkeypatch):
+    # the public samplers draw through the checks' samplers, and so are checked where drawn
+    real = verify._random_rows
+    monkeypatch.setattr(verify, "_random_rows", lambda support, rng: 1.5 * real(support, rng))
+    frame, rng = default_frame(2), np.random.default_rng(0)
+    with pytest.raises(InvalidSpecializationError, match="specialization invariants"):
+        verify.random_specialization(frame, rng)
+    with pytest.raises(InvalidSpecializationError, match="specialization invariants"):
+        verify.sigma_star_specialization(frame, 0b11, rng)
+    with pytest.raises(InvalidSpecializationError, match="specialization invariants"):
+        verify.dominated_specialization(frame, verify.random_mass(frame, rng), rng)
