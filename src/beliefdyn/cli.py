@@ -30,13 +30,6 @@ from .dynamics import (
 )
 from .errors import InputError, PreconditionError
 from .lattice import Frame
-from .verify import EXHAUSTIVE_CHECKS, all_passed, format_reports, run_all
-from .specialization import (
-    conditioning_matrix,
-    dempsterian_matrix,
-    despecialize_matrix,
-    disjunctive_matrix,
-)
 
 _CONVERTERS = {
     "bel": bel_from_mass,
@@ -114,6 +107,14 @@ def _matrix_frame(args) -> Frame:
 
 
 def _cmd_matrix(args) -> int:
+    # imported here, not at the top: no other command needs the matrices
+    from .specialization import (
+        conditioning_matrix,
+        dempsterian_matrix,
+        despecialize_matrix,
+        disjunctive_matrix,
+    )
+
     if args.kind == "specialization":
         if args.conditioning is None:
             raise InputError("--kind specialization needs --conditioning SUBSET-KEY")
@@ -138,6 +139,9 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # imported here, not at the top: no other command needs the checks
+    from .verify import EXHAUSTIVE_CHECKS, all_passed, format_reports, run_all
+
     sizes = _parse_int_list(args.n, "--n")
     checks = None if args.theorems is None else args.theorems.split(",")
     reports = run_all(

@@ -336,6 +336,7 @@ def format_matrix(frame: Frame, values: np.ndarray, kind: str) -> str:
         "# rows: source subset, cols: target subset, indexed by bitmask "
         "(bit i = i-th frame label, 0 = empty set)",
     ]
-    for row in values:
-        lines.append(" ".join(f"{x:.12g}" for x in row))
+    # one format call per row, not one per entry
+    row_format = " ".join(["%.12g"] * values.shape[1])
+    lines += [row_format % tuple(row) for row in values.tolist()]
     return "\n".join(lines) + "\n"

@@ -16,15 +16,11 @@ stack.  When ``PAIR_COST * |F(a)| * |F(b)| <= n * 2**n``, the combination
 is the paper's double sum itself: one scatter of the products
 ``a[X] * b[Y]`` onto ``X & Y`` (or ``X | Y``).  Otherwise it is the
 transform product: three butterflies of ``n`` passes over ``2**n``
-entries.  On one core of a shared Xeon, the scatter costs about 10 ns a
-pair, plus about 0.5 ms to clear 2**20 outputs; the transforms cost about
-0.8 ns an entry-pass over ``3 * n * 2**n`` entry-passes, 50 ms at n=20.
-The routes break even near ``n * 2**n / 4`` pairs.  The factor 16 leaves
-room, and it holds each of the scatter's pair arrays to ``n / 16`` times
-the size of a vector.  So sparse evidence on a large frame
-(256 by 33 focal sets at n=20: 0.5 ms against 50 ms) takes the scatter,
-while dense operands, and every stack the verification suite draws, take
-the transforms.  The routes differ by a few 1e-16.  The scatter adds only
+entries.  The factor 16 holds each of the scatter's pair arrays to
+``n / 16`` times the size of a vector.  So sparse evidence on a large
+frame (256 by 33 focal sets at n=20) takes the scatter, while dense
+operands, and every stack the verification suite draws, take the
+transforms.  The routes differ by a few 1e-16.  The scatter adds only
 the products, so an entry that no pair reaches is an exact zero, where the
 transforms can leave roundoff; and a combination with a categorical mass
 on the scatter route is bit for bit :func:`condition` (or

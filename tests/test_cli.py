@@ -11,6 +11,7 @@ from beliefdyn.documents import (
     _dense_values,
     _values_by_key,
     format_mass_document,
+    format_matrix,
     format_value_document,
     parse_document,
     parse_subset_key,
@@ -27,6 +28,7 @@ from beliefdyn.belief import (
     pl_from_mass,
     q_from_mass,
 )
+from beliefdyn.specialization import dempsterian_matrix
 from beliefdyn.verify import random_mass
 from oracles import reference_document
 
@@ -199,6 +201,26 @@ class TestDocuments:
         match = "not valid JSON" if digits > 4300 else "value for '(a)?' is too large for a float"
         with pytest.raises(InputError, match=match):
             parse_document(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # each keeps a valid canonical-order map once its repeated key is dropped
+            '{"frame":["a"],"masses":{"":0.5,"a":0.5,"a":0.5}}',
+            '{"frame":["a"],"frame":["a"],"masses":{"":0.5,"a":0.5}}',
+            '{"frame":["a"],"kind":"q","values":{"":1.0,"a":0.5,"a":0.5}}',
+            '{"frame":["a"],"masses":{"":0.5,"a":{"x":1,"x":1}}}',
+        ],
+        ids=["masses-map", "top-level", "values-map", "nested-in-a-value"],
+    )
+    def test_repeated_json_key_rejected(self, tmp_path, capsys, text):
+        message = "a JSON object in the document lists the same key twice"
+        with pytest.raises(InputError, match=message):
+            parse_document(text)
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        assert main(["convert", str(path), "--to", "bel"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_subset_listed_twice_rejected(self):
         # both keys name {a, b}; the listed masses sum to 1.3
@@ -516,6 +538,16 @@ class TestMatrix:
         np.testing.assert_allclose(
             matrix, [[1, 0, 0, 0], [0.4, 0.6, 0, 0], [0, 0, 1, 0], [0, 0, 0.4, 0.6]], atol=1e-12
         )
+
+    def test_matrix_text_matches_per_entry_format(self):
+        # the reference formats each entry on its own
+        m = random_mass(default_frame(5), np.random.default_rng(7))
+        values = dempsterian_matrix(m).values.copy()
+        values[1, :8] = [-0.0, 3.0, 1e12, 5e-324, 1e16, -2.5e-7, 123456789012345.0, 1 / 3]
+        lines = [" ".join(f"{x:.12g}" for x in row) for row in values]
+        text = format_matrix(default_frame(5), values, "dempsterian")
+        assert text.splitlines()[2:] == lines
+        assert text.endswith(lines[-1] + "\n")
 
     def test_singular_despecialization_is_precondition_error(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", {"frame": ["a", "b"], "masses": {"a": 0.5, "b": 0.5}})
