@@ -10,9 +10,13 @@ Instances are evaluated as stacks: each sub-identity runs once over
 ``(k, 2**n)`` rows or ``(k, 2**n, 2**n)`` matrices through the private
 array cores that the public functions wrap, and one :meth:`_Fold.add`
 folds the stack.  A stack's largest per-instance block holds at most
-``_BLOCK`` entries.  Double sums and matrix products use no transform, and
-neither does the plausibility product by which the row-dominated sampler
-tests its candidates.
+``_BLOCK`` (2**17) entries, so memory stays flat in the sample count and a
+larger frame splits into more stacks.  The cap is the smallest power of two
+under which every check of the default suite with a ``16×16`` block per
+instance runs as one stack at n=4; the largest is
+``conditioning-least-committed``'s 500 matrices.  Double sums and matrix
+products use no transform, and neither does the plausibility product by
+which the row-dominated sampler tests its candidates.
 Sampled masses and matrices are checked once, where they are drawn, by
 the rules of ``MassFunction`` and ``is_valid_specialization``.  Matrices
 the library builds are not checked: they are what the checks test, so a
@@ -41,8 +45,10 @@ TOL = 1e-9
 TOL_EXACT = 1e-12
 TOL_RETRACT = 1e-8
 
-# Entries that the largest per-instance block of one stack may hold in all.
-_BLOCK = 2**14
+# Entries that the largest per-instance block of one stack may hold in all: the
+# smallest power of two above 500 * 16**2 = 128 000, conditioning-least-committed's
+# matrices at n=4, so every check of the default suite with a 16x16 block is one stack.
+_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -178,9 +184,15 @@ def random_mass(frame: Frame, rng: np.random.Generator) -> MassFunction:
 
 
 def _random_rows(support: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Normalized uniforms on ``(0, 1]`` over the nonzero entries of each row of ``support``."""
-    w = support * (1.0 - rng.random(support.shape))
-    return w / w.sum(axis=-1, keepdims=True)
+    """Normalized uniforms on ``(0, 1]`` over the nonzero entries of each row of ``support``.
+
+    One array, filled in place: bit for bit ``support * (1 - u)`` over its row sums.
+    """
+    w = rng.random(support.shape)
+    np.subtract(1.0, w, out=w)
+    w *= support
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def _specializations(support: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -199,7 +211,7 @@ def _sigma_star(t: np.ndarray, c, rng: np.random.Generator) -> np.ndarray:
     ``t`` is the incidence matrix; this is the support condition that
     :func:`sigma_star_specialization` describes.
     """
-    return _specializations(t[np.arange(len(t)) & np.asarray(c)[..., None]], rng)
+    return _specializations((t != 0)[np.arange(len(t)) & np.asarray(c)[..., None]], rng)
 
 
 def sigma_star_specialization(
@@ -235,17 +247,20 @@ def _dominated(t: np.ndarray, pl0: np.ndarray, rng: np.random.Generator) -> np.n
     at most) and tests its fit by one product against :func:`_meets`, a
     plausibility route apart from the ``_pl`` that the checks test; a row
     none fits takes a fresh candidate shrunk toward the point mass on the
-    empty set until it does.  Rows go in blocks of ``_BLOCK`` entries; the
-    stack is checked as specializations.
+    empty set until it does.  Rows go in blocks of ``_BLOCK`` entries, and the
+    pending rows are compacted only in a round where some row fit; the stack
+    is checked as specializations.
     """
     size = len(t)
-    meets = _meets(size)
+    meets, nonzero = _meets(size), t != 0
     out = np.empty((len(pl0) * size, size))
     for rows in _blocks(len(out), size):
-        support, bound = t[rows % size], pl0[rows // size] + TOL_EXACT
+        support, bound = nonzero[rows % size], pl0[rows // size] + TOL_EXACT
         for _ in range(_CANDIDATES_PER_ROW):
             cand = _random_rows(support, rng)
             fits = (cand @ meets <= bound).all(axis=1)
+            if not fits.any():
+                continue
             out[rows[fits]] = cand[fits]
             rest = ~fits
             rows, support, bound = rows[rest], support[rest], bound[rest]
@@ -429,10 +444,13 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
         at = np.arange(k)[:, None]
         devs: dict[str, np.ndarray] = {}
 
-        # conditioning: transfer vs matrix vs closed belief form, and pl outside C
+        # conditioning: transfer vs matrix vs closed belief form, and pl outside C; the
+        # expansion order is taken here too, so its two matrices are freed before the double sums
         cond = _condition(m0, c)
-        s_c = _transfer_rows(np.eye(size)[c], np.bitwise_and)
+        s_c, s_m1 = (_transfer_rows(v, np.bitwise_and) for v in (np.eye(size)[c], m1))
         devs["cond-matrix"] = _worst(cond - _apply(m0, s_c))
+        expansion = _worst(_apply(_apply(m0, s_m1), s_c) - _apply(_apply(m0, s_c), s_m1))
+        del s_c, s_m1
         bel0 = _bel(m0)
         comp = (full ^ c)[:, None]
         devs["cond-bel-form"] = _worst(_bel(cond) - (bel0[at, idx | comp] - bel0[at, comp]))
@@ -448,8 +466,7 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
 
         # conditioning composes by intersection; expansions commute
         devs["cond-compose"] = _worst(_condition(cond, c2) - _condition(m0, c & c2))
-        s_m1 = _transfer_rows(m1, np.bitwise_and)
-        devs["expansion-order"] = _worst(_apply(_apply(m0, s_m1), s_c) - _apply(_apply(m0, s_c), s_m1))
+        devs["expansion-order"] = expansion
 
         # retraction round trip (evidence kept invertible by vacuous mixing); a
         # row public retract would reject is a violation, never clipped to a pass

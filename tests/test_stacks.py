@@ -306,6 +306,31 @@ def test_fault_in_transfer_kernel_fails_dynamics_invariants(monkeypatch):
     assert dev > verify.TOL and dev == pytest.approx(w["failed"]["cond-bel-form"], abs=1e-9)
 
 
+def test_fault_in_a_later_stack_is_witnessed_by_its_row(monkeypatch):
+    # dynamics-invariants at n=6 folds 10 stacks of at most 32; a fault planted in row 5 of
+    # the third stack only is instance 69, and its witness holds that row, not row 5 of the first
+    calls, seen = [], {}
+
+    def fault(a, b):
+        out = dynamics._disjunctive(a, b)
+        calls.append(len(a))
+        if len(calls) == 3:
+            seen.update(m0=a[5], m1=b[5])
+            out[5] = 0.999 * out[5] + 0.001 * np.eye(a.shape[-1])[-1]
+        return out
+
+    monkeypatch.setattr(verify, "_disjunctive", fault)
+    report = verify.check_dynamics_invariants(default_frame(6), seed=9)
+    w = failed_witness(report)
+    assert calls == [32] * 9 + [12]
+    assert report.instances == 300 and report.violations == 1
+    assert w["m0"] == verify._jsonable(seen["m0"]) and w["m1"] == verify._jsonable(seen["m1"])
+    assert set(w["failed"]) == {"disj-double-sum", "disj-b-product", "disj-matrix"}
+    m_or = combine_disjunctive(*(MassFunction(default_frame(6), seen[k]) for k in ("m0", "m1")))
+    dev = 0.001 * np.abs(np.eye(64)[-1] - m_or.values).max()
+    assert dev == pytest.approx(w["failed"]["disj-double-sum"], abs=1e-9)
+
+
 def test_rejected_retraction_counts_as_a_violation(monkeypatch):
     # a retraction that public retract refuses is never clipped into a pass
     real = dynamics._retract

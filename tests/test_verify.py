@@ -112,6 +112,19 @@ class TestSamplers:
             assert np.array_equal(got, want)
             assert np.array_equal(got[0, 1:], np.eye(size)[[0] * (size - 1)])
 
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_dominated_draws_match_the_pl_route_across_row_blocks(self, n, monkeypatch):
+        # at 2**10 entries a block, 70 anchors take 2, 5 and 18 row blocks at n = 2, 3, 4
+        monkeypatch.setattr("beliefdyn.verify._BLOCK", 2**10)
+        size = 1 << n
+        t = incidence_matrix(default_frame(n))
+        for seed in range(10):
+            rng = np.random.default_rng(200 * n + seed)
+            pl0 = _pl(np.vstack([np.eye(size)[:1], _random_masses(size, 69, rng)]))
+            got = _dominated(t, pl0, np.random.default_rng(seed))
+            want = reference_dominated(t, pl0, np.random.default_rng(seed), 2**10, _CANDIDATES_PER_ROW, TOL_EXACT)
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_meets_product_is_the_plausibility(self, n):
         size = 1 << n
@@ -239,6 +252,19 @@ class TestPublicChecks:
         assert np.array_equal(next(_blocks(10**12, 1)), np.arange(_BLOCK))
 
 
+def record_stacks(monkeypatch) -> list:
+    """Patch ``verify._blocks`` to record the size of every block it yields; returns the record."""
+    sizes = []
+
+    def recorded(count, entries):
+        for block in _blocks(count, entries):
+            sizes.append(block.size)
+            yield block
+
+    monkeypatch.setattr("beliefdyn.verify._blocks", recorded)
+    return sizes
+
+
 class TestRunAll:
     def test_default_suite_passes(self):
         reports = run_all(sizes=(1, 2), samples=30, seed=3)
@@ -251,6 +277,32 @@ class TestRunAll:
         reports = run_all(seed=seed)
         assert all_passed(reports), format_reports(reports)
         assert sum(r.instances for r in reports) == 6970
+
+    def test_default_suite_memory_and_stacks(self, monkeypatch):
+        # each check of the default suite with a 16x16 block is one stack at n=4, 37 stacks
+        # in all; the largest temporaries, in the row-dominated sampler, peak near 2.74 MB
+        run_all()  # builds the cached incidence and support matrices
+        stacks = record_stacks(monkeypatch)
+        tracemalloc.start()
+        try:
+            reports = run_all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all_passed(reports)
+        assert len(stacks) <= 37
+        assert peak < 3.0e6
+
+    def test_sizes_5_and_6_fold_several_stacks(self, monkeypatch):
+        # above n=4 the checks still split: 2 + 2 + 3 stacks at n=5 and 10 at n=6
+        stacks = record_stacks(monkeypatch)
+        reports = run_all(sizes=(5, 6))
+        assert all_passed(reports), format_reports(reports)
+        assert [(r.check, r.n, r.instances) for r in reports] == [
+            ("dempsterian-commutation", 5, 200), ("eigenstructure", 5, 200),
+            ("dynamics-invariants", 5, 300), ("dynamics-invariants", 6, 300),
+        ]
+        assert len(stacks) == 17
 
     def test_deterministic_per_seed(self):
         first = run_all(sizes=(2,), samples=25, seed=11)
