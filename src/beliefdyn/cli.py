@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import documents
@@ -50,20 +51,26 @@ def _read_mass(path: str):
     return documents.parse_mass_document(_read(path))
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(pieces: Iterable[str], output: str | None) -> None:
+    """Write ``pieces`` to ``output``, or to stdout when it is None.
+
+    The output is opened only now, so a document whose checks failed
+    leaves an existing file as it was.
+    """
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(output).write_text(text)
+        with Path(output).open("w") as file:
+            file.writelines(pieces)
 
 
 def _cmd_convert(args) -> int:
     parsed = documents.parse_document(_read(args.input))
     m = parsed if isinstance(parsed, MassFunction) else mass_from(parsed)
     if args.to == "mass":
-        _emit(documents.format_mass_document(m), args.output)
+        _emit(documents.mass_document_chunks(m), args.output)
     else:
-        _emit(documents.format_value_document(_CONVERTERS[args.to](m)), args.output)
+        _emit(documents.value_document_chunks(_CONVERTERS[args.to](m)), args.output)
     return 0
 
 
@@ -78,21 +85,21 @@ def _cmd_combine(args) -> int:
     combined = masses[0]
     for m in masses[1:]:
         combined = rule(combined, m)
-    _emit(documents.format_mass_document(combined), args.output)
+    _emit(documents.mass_document_chunks(combined), args.output)
     return 0
 
 
 def _cmd_on_subset(args) -> int:
     m = _read_mass(args.input)
     subset = documents.parse_subset_key(m.frame, args.on)
-    _emit(documents.format_mass_document(args.rule(m, subset)), args.output)
+    _emit(documents.mass_document_chunks(args.rule(m, subset)), args.output)
     return 0
 
 
 def _cmd_retract(args) -> int:
     m = _read_mass(args.input)
     evidence = _read_mass(args.evidence)
-    _emit(documents.format_mass_document(retract(m, evidence)), args.output)
+    _emit(documents.mass_document_chunks(retract(m, evidence)), args.output)
     return 0
 
 
@@ -134,7 +141,7 @@ def _cmd_matrix(args) -> int:
         else:
             matrix = disjunctive_matrix(m)
         label = args.kind
-    _emit(documents.format_matrix(frame, matrix.values, label), args.output)
+    _emit([documents.format_matrix(frame, matrix.values, label)], args.output)
     return 0
 
 
@@ -155,7 +162,7 @@ def _cmd_check(args) -> int:
     exhaustive = [name for name in EXHAUSTIVE_CHECKS if any(r.check == name for r in reports)]
     if args.samples is not None and exhaustive:
         header += f" (ignored by exhaustive {', '.join(exhaustive)})"
-    _emit(header + "\n" + format_reports(reports) + "\n", args.output)
+    _emit([header, "\n", format_reports(reports), "\n"], args.output)
     return 0 if all_passed(reports) else 1
 
 

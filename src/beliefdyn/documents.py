@@ -30,19 +30,30 @@ does not invert is written by the reader's checks alone.  So the reader
 accepts whatever the writer emits, and ``convert --to mass`` accepts
 whatever ``convert`` wrote.
 
-Both directions work per document rather than per key.  Every writer lists
+Both directions work per document rather than per key.  The reader
+parses with ``json``'s own dicts and proves by one count that no object
+repeats a key: each object member has one ``:`` of its own, so the text
+holds as many colons as the parsed objects hold members exactly when no
+key repeats and no string holds a colon.  Any other text, malformed JSON
+included, is read again with a hook that rejects a repeated key, and
+that reading raises whatever error the text has.  Every writer lists
 keys in bitmask order, so a written map is a prefix of the canonical key
-table; the reader checks that in one pass over the keys, without building
-the table, and takes the numbers in one conversion.  Every other key order
-or member order is still accepted, key by key, with the same checks and
-error messages.  The writer keeps the 12-digit text of each value from its
-rounding and writes it in ``repr``'s notation.  The format is the same
-either way.
+table; the reader checks that a chunk of keys at a time, without
+building the table, and takes the numbers in one conversion.  Every
+other key order or member order is still accepted, key by key, with the
+same checks and error messages.  The writer makes all its decisions (the
+zero rule, the rounding, the reader's checks, the notation) before its
+first piece of text, keeping the 12-digit text of each value in
+``repr``'s notation.  It then writes ``2**12`` subsets at a time,
+joining each chunk's keys from a table of the low labels and the chunk's
+key of high labels, so the whole key table and the whole text are never
+built.  The format is the same either way.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import chain, repeat
 
 import numpy as np
@@ -53,6 +64,8 @@ from .lattice import Frame
 
 _ZERO_BELOW = 1e-12
 _ZERO_BUDGET = 1e-10
+# A written map goes out 2**_CHUNK_BITS subsets at a time.
+_CHUNK_BITS = 12
 # The top-level keys of each kind of document; any other key is an input error.
 _MASS_KEYS = ("frame", "masses")
 _VALUE_KEYS = ("frame", "kind", "values")
@@ -140,22 +153,43 @@ def _written(values: np.ndarray, rebuild) -> tuple[np.ndarray, np.ndarray]:
     return out, texts
 
 
-def _dump(header: dict, field: str, keys: list[str], texts: list[str]) -> str:
-    """``json.dumps({**header, field: dict(zip(keys, values))}, indent=2) + "\\n"``,
-    given the JSON text of each key (:func:`_json_text`) and of each value.
+def _dump(
+    header: dict, field: str, frame: Frame, listed: np.ndarray, texts: np.ndarray
+) -> Iterator[str]:
+    """``json.dumps({**header, field: dict(zip(keys, values))}, indent=2) + "\\n"``
+    in pieces, given the ``listed`` subsets in ascending order and the JSON
+    text of each one's value.
 
-    Only the short header goes through ``json.dumps``; the body is one join
-    of the keys, the texts and the separators between them, so no line is
-    held as a string of its own.
+    Only the short header goes through ``json.dumps``.  The body comes a
+    chunk of ``2**_CHUNK_BITS`` subsets at a time.  The key of subset ``s``
+    joins the key of its low bits ``s & mask``, from a table of the low
+    labels, and the key of its chunk, from a table of the high labels, so
+    no whole key table or text is built.
     """
     text = json.dumps({**header, field: {}}, indent=2)
-    if not keys:
-        return text + "\n"
     # text ends with the empty map and the closing brace: '{}\n}'
-    pieces = [text[:-4] + '{\n    "']
-    pieces += chain.from_iterable(zip(keys, repeat('": '), texts, repeat(',\n    "')))
-    pieces[-1] = "\n  }\n}\n"
-    return "".join(pieces)
+    yield text[:-3]
+    labels = [_json_text(label) for label in frame.labels]
+    bits = min(frame.n, _CHUNK_BITS)
+    low = _key_table(labels[:bits])
+    # after chunk 0 a high key follows, so every low key but the empty one takes a "|"
+    low_sep = [""] + [key + "|" for key in low[1:]]
+    highs = _key_table(labels[bits:])
+    edges = np.searchsorted(listed, np.arange(len(highs) + 1) << bits).tolist()
+    mask = (1 << bits) - 1
+    written = False
+    for high, start, stop in zip(highs, edges, edges[1:]):
+        if start == stop:
+            continue
+        table = low_sep if high else low
+        keys = [table[s] + high for s in (listed[start:stop] & mask).tolist()]
+        values = texts[start:stop].tolist()
+        pieces = [*chain.from_iterable(zip(repeat(',\n    "'), keys, repeat('": '), values))]
+        if not written:
+            pieces[0] = '\n    "'  # no comma before the first entry
+            written = True
+        yield "".join(pieces)
+    yield "\n  }\n}\n" if written else "}\n}\n"
 
 
 def _document_frame(frame: Frame) -> Frame:
@@ -180,8 +214,9 @@ def _canonical_prefix(frame: Frame, keys: list) -> bool:
 
     The table (:func:`_key_table`) doubles: for ``lo = 2**i``, key ``lo`` is
     label ``i`` and key ``lo + j`` (``0 < j < lo``) is key ``j``, ``"|"`` and
-    label ``i``.  So each level, joined by newlines, is compared with the
-    levels below it extended by the label, and the table is never built.
+    label ``i``.  So each level, joined by newlines a chunk at a time, is
+    compared with the levels below it extended by the label, and the table
+    is never built.
     When no label holds a newline, two equal joins hold as many newlines as
     they join keys, so the keys agree one by one.
     """
@@ -194,12 +229,14 @@ def _canonical_prefix(frame: Frame, keys: list) -> bool:
         lo = 1 << i
         if count <= lo:
             break
-        hi = min(2 * lo, count)
         tail = "|" + label
-        # key 0 is "", so the first expected key is the label with a "|" before it
-        expected = (tail + "\n").join(keys[: hi - lo]) + tail
-        if "\n".join(keys[lo:hi]) != expected[1:]:
-            return False
+        # a chunk of keys at a time, so no join outgrows a chunk
+        for start in range(0, min(lo, count - lo), 1 << _CHUNK_BITS):
+            stop = min(start + (1 << _CHUNK_BITS), lo, count - lo)
+            expected = (tail + "\n").join(keys[start:stop]) + tail
+            # key 0 is "", so the first expected key is the label with a "|" before it
+            if "\n".join(keys[lo + start : lo + stop]) != (expected if start else expected[1:]):
+                return False
     return True
 
 
@@ -260,12 +297,44 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def parse_document(text: str) -> MassFunction | ValueFunction:
-    """Parse a mass or value document; raises :class:`InputError` on bad files."""
+def _member_count(doc) -> int:
+    """The number of members of the JSON objects in ``doc``, nested ones included."""
+    count, stack = 0, [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            count += len(node)
+            node = node.values()
+        elif not isinstance(node, list):
+            continue
+        if not {dict, list}.isdisjoint(map(type, node)):
+            stack += [x for x in node if isinstance(x, (dict, list))]
+    return count
+
+
+def _load(text: str):
+    """``json.loads(text)``; an :class:`InputError` if that fails or an object repeats a key.
+
+    Each object member has one ``:`` of its own.  So the text holds as many
+    colons as the parsed objects hold members exactly when no key repeats
+    and no string holds a ``:``; otherwise ``_unique_keys`` reads it again.
+    """
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        pass
+    else:
+        if text.count(":") == _member_count(doc):
+            return doc
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise InputError(f"not valid JSON: {exc}") from exc
+
+
+def parse_document(text: str) -> MassFunction | ValueFunction:
+    """Parse a mass or value document; raises :class:`InputError` on bad files."""
+    doc = _load(text)
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     allowed = _MASS_KEYS if "masses" in doc else _VALUE_KEYS
@@ -296,20 +365,19 @@ def parse_mass_document(text: str) -> MassFunction:
     return parsed
 
 
-def format_mass_document(m: MassFunction) -> str:
+def mass_document_chunks(m: MassFunction) -> Iterator[str]:
+    """The text of :func:`format_mass_document` in pieces.
+
+    Every check of the writer has run when this returns, before the first piece.
+    """
     frame = _document_frame(m.frame)
     values, texts = _written(m.values, lambda out: MassFunction(frame, out))
     listed = np.flatnonzero(values)
-    # one join costs about as much as 2n to 3n entries of the whole key table
-    if 3 * frame.n * listed.size < frame.size:
-        keys = [_json_text(subset_key(frame, s)) for s in listed.tolist()]
-    else:
-        table = _key_table(map(_json_text, frame.labels))
-        keys = [table[s] for s in listed.tolist()]
-    return _dump({"frame": list(frame.labels)}, "masses", keys, texts[listed].tolist())
+    return _dump({"frame": list(frame.labels)}, "masses", frame, listed, texts[listed])
 
 
-def format_value_document(v: ValueFunction) -> str:
+def value_document_chunks(v: ValueFunction) -> Iterator[str]:
+    """The text of :func:`format_value_document` in pieces; checked like :func:`mass_document_chunks`."""
     frame = _document_frame(v.frame)
 
     def rebuild(out):
@@ -321,12 +389,16 @@ def format_value_document(v: ValueFunction) -> str:
         _, texts = _written(v.values, rebuild)
     else:
         _, texts = _written(v.values, lambda out: mass_from(rebuild(out)))
-    return _dump(
-        {"frame": list(frame.labels), "kind": v.kind.value},
-        "values",
-        _key_table(map(_json_text, frame.labels)),
-        texts.tolist(),
-    )
+    header = {"frame": list(frame.labels), "kind": v.kind.value}
+    return _dump(header, "values", frame, np.arange(frame.size), texts)
+
+
+def format_mass_document(m: MassFunction) -> str:
+    return "".join(mass_document_chunks(m))
+
+
+def format_value_document(v: ValueFunction) -> str:
+    return "".join(value_document_chunks(v))
 
 
 def format_matrix(frame: Frame, values: np.ndarray, kind: str) -> str:
