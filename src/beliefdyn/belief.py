@@ -139,7 +139,7 @@ class ValueFunction:
         if abs(out[index] - anchor) > VALIDATION_TOL:
             raise NotABeliefFunctionError(
                 f"{kind.value} must take value {anchor} on "
-                f"{'the full frame' if index == -1 else 'the empty set'}, got {out[index]!r}"
+                f"{'the full frame' if index == -1 else 'the empty set'}, got {float(out[index])!r}"
             )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "values", out)
@@ -193,7 +193,7 @@ def pl_from_bel(bel: ValueFunction, empty_mass: float | None = None) -> ValueFun
     frame = bel.frame
     if empty_mass is not None and abs(bel.values[-1] + empty_mass - 1.0) > VALIDATION_TOL:
         raise NotABeliefFunctionError(
-            f"bel(full)={bel.values[-1]!r} inconsistent with m(empty)={empty_mass!r}"
+            f"bel(full)={float(bel.values[-1])!r} inconsistent with m(empty)={float(empty_mass)!r}"
         )
     return ValueFunction(frame, Kind.PLAUSIBILITY, _pl_of_bel(bel.values))
 
@@ -270,11 +270,11 @@ def least_committed_from_disjoint_constraints(
                 f"constraint sets overlap at {frame.members(subset & seen)}"
             )
         if value < -VALIDATION_TOL:
-            raise InfeasibleConstraintsError(f"negative constraint value {value!r}")
+            raise InfeasibleConstraintsError(f"negative constraint value {float(value)!r}")
         seen |= subset
         total += value
         values[subset] += value
     if total > 1.0 + VALIDATION_TOL:
-        raise InfeasibleConstraintsError(f"constraint values sum to {total!r} > 1")
+        raise InfeasibleConstraintsError(f"constraint values sum to {float(total)!r} > 1")
     values[-1] += max(1.0 - total, 0.0)
     return MassFunction(frame, values)

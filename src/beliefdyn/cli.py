@@ -42,7 +42,7 @@ _CONVERTERS = {
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -60,7 +60,7 @@ def _emit(pieces: Iterable[str], output: str | None) -> None:
     if output is None:
         sys.stdout.writelines(pieces)
     else:
-        with Path(output).open("w") as file:
+        with Path(output).open("w", encoding="utf-8") as file:
             file.writelines(pieces)
 
 

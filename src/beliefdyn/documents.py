@@ -38,8 +38,8 @@ key repeats and no string holds a colon.  Any other text, malformed JSON
 included, is read again with a hook that rejects a repeated key, and
 that reading raises whatever error the text has.  Every writer lists
 keys in bitmask order, so a written map is a prefix of the canonical key
-table; the reader checks that a chunk of keys at a time, without
-building the table, and takes the numbers in one conversion.  Every
+table; the reader compares it with the writer's chunks of that table,
+one chunk at a time, and takes the numbers in one conversion.  Every
 other key order or member order is still accepted, key by key, with the
 same checks and error messages.  The writer makes all its decisions (the
 zero rule, the rounding, the reader's checks, the notation) before its
@@ -53,6 +53,7 @@ built.  The format is the same either way.
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Iterator
 from itertools import chain, repeat
 
@@ -78,6 +79,19 @@ def _key_table(labels) -> list[str]:
         # the masks with this label's bit set: every earlier mask plus the label
         keys += [f"{key}|{label}" if key else label for key in keys]
     return keys
+
+
+def _key_chunks(labels) -> tuple[int, list[str], list[str], list[str]]:
+    """The key table over ``labels`` in chunks, for the writer and the reader alike.
+
+    Returns ``(bits, low, low_sep, highs)``: key ``(h << bits) + s`` is
+    ``low[s]`` in chunk ``h = 0`` and ``low_sep[s] + highs[h]`` after it.
+    """
+    bits = min(len(labels), _CHUNK_BITS)
+    low = _key_table(labels[:bits])
+    # after chunk 0 a high key follows, so every low key but the empty one takes a "|"
+    low_sep = [""] + [key + "|" for key in low[1:]]
+    return bits, low, low_sep, _key_table(labels[bits:])
 
 
 def _json_text(key: str) -> str:
@@ -169,12 +183,7 @@ def _dump(
     text = json.dumps({**header, field: {}}, indent=2)
     # text ends with the empty map and the closing brace: '{}\n}'
     yield text[:-3]
-    labels = [_json_text(label) for label in frame.labels]
-    bits = min(frame.n, _CHUNK_BITS)
-    low = _key_table(labels[:bits])
-    # after chunk 0 a high key follows, so every low key but the empty one takes a "|"
-    low_sep = [""] + [key + "|" for key in low[1:]]
-    highs = _key_table(labels[bits:])
+    bits, low, low_sep, highs = _key_chunks([_json_text(label) for label in frame.labels])
     edges = np.searchsorted(listed, np.arange(len(highs) + 1) << bits).tolist()
     mask = (1 << bits) - 1
     written = False
@@ -210,33 +219,17 @@ def _parse_frame(labels) -> Frame:
 
 
 def _canonical_prefix(frame: Frame, keys: list) -> bool:
-    """Whether the string ``keys`` are the first ``len(keys)`` keys of the frame's table.
-
-    The table (:func:`_key_table`) doubles: for ``lo = 2**i``, key ``lo`` is
-    label ``i`` and key ``lo + j`` (``0 < j < lo``) is key ``j``, ``"|"`` and
-    label ``i``.  So each level, joined by newlines a chunk at a time, is
-    compared with the levels below it extended by the label, and the table
-    is never built.
-    When no label holds a newline, two equal joins hold as many newlines as
-    they join keys, so the keys agree one by one.
-    """
-    count = len(keys)
-    if count > frame.size or any("\n" in label for label in frame.labels):
+    """Whether the string ``keys`` are the first ``len(keys)`` keys of the frame's table."""
+    if len(keys) > frame.size:
         return False
-    if count and keys[0] != "":
-        return False
-    for i, label in enumerate(frame.labels):
-        lo = 1 << i
-        if count <= lo:
-            break
-        tail = "|" + label
-        # a chunk of keys at a time, so no join outgrows a chunk
-        for start in range(0, min(lo, count - lo), 1 << _CHUNK_BITS):
-            stop = min(start + (1 << _CHUNK_BITS), lo, count - lo)
-            expected = (tail + "\n").join(keys[start:stop]) + tail
-            # key 0 is "", so the first expected key is the label with a "|" before it
-            if "\n".join(keys[lo + start : lo + stop]) != (expected if start else expected[1:]):
-                return False
+    # the first c keys name only the first (c - 1).bit_length() labels
+    bits, low, low_sep, highs = _key_chunks(frame.labels[: (len(keys) - 1).bit_length()])
+    for h, high in enumerate(highs):
+        chunk = keys[h << bits : (h + 1) << bits]
+        # the expected keys one at a time, so no chunk of them is held
+        expected = map(operator.add, low_sep, repeat(high)) if h else low
+        if not all(map(operator.eq, chunk, expected)):
+            return False
     return True
 
 

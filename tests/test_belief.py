@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,25 @@ class TestValidation:
                 MassFunction(default_frame(1), values)
         with pytest.raises(NotABeliefFunctionError, match="complex"):
             ValueFunction(default_frame(1), Kind.COMMONALITY, np.array([1.0, 0.5j]))
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(NotABeliefFunctionError, match="^values must be finite$"):
+            MassFunction(default_frame(2), [0.0, 0.0, np.nan, 1.0])
+
+    def test_wrong_length_rejected(self):
+        message = "expected 4 values for a frame of 2 elements, got shape (2,)"
+        with pytest.raises(NotABeliefFunctionError, match=f"^{re.escape(message)}$"):
+            MassFunction(default_frame(2), [0.5, 0.5])
+
+    def test_repr_lists_the_focal_sets(self):
+        m = MassFunction(default_frame(2), [0.1, 0.2, 0.0, 0.7])
+        assert repr(m) == "MassFunction({}:0.1, {a}:0.2, {a|b}:0.7)"
+
+    def test_anchor_message_prints_a_plain_float(self):
+        # the empty-set anchors are pinned through the CLI in test_cli.py
+        message = "b must take value 1.0 on the full frame, got 0.5"
+        with pytest.raises(NotABeliefFunctionError, match=f"^{re.escape(message)}$"):
+            ValueFunction(default_frame(1), Kind.IMPLICABILITY, np.array([0.0, 0.5]))
 
     def test_values_are_immutable(self):
         m = vacuous(F3)
@@ -120,6 +141,16 @@ class TestPlausibility:
         m = partial_knowledge_example()
         with pytest.raises(NotABeliefFunctionError):
             pl_from_bel(bel_from_mass(m), 0.5)
+
+    def test_inconsistent_numpy_empty_mass_prints_plain_floats(self):
+        m = partial_knowledge_example()
+        message = "bel(full)=1.0 inconsistent with m(empty)=0.5"
+        with pytest.raises(NotABeliefFunctionError, match=f"^{re.escape(message)}$"):
+            pl_from_bel(bel_from_mass(m), np.float64(0.5))
+
+    def test_other_kinds_rejected(self):
+        with pytest.raises(NotABeliefFunctionError, match="^expected a belief function, got q$"):
+            pl_from_bel(q_from_mass(partial_knowledge_example()))
 
 
 class TestCommonality:
@@ -264,6 +295,17 @@ class TestLeastCommittedConstruction:
     def test_overcommitted_budget_rejected(self):
         with pytest.raises(InfeasibleConstraintsError):
             least_committed_from_disjoint_constraints(F3, [(0b001, 0.7), (0b110, 0.5)])
+
+    @pytest.mark.parametrize("value", [-0.1, np.float64(-0.1)], ids=["float", "numpy"])
+    def test_negative_value_rejected(self, value):
+        with pytest.raises(InfeasibleConstraintsError, match="^negative constraint value -0.1$"):
+            least_committed_from_disjoint_constraints(F3, [(0b001, value)])
+
+    def test_overcommitted_numpy_budget_prints_a_plain_float(self):
+        constraints = [(0b001, np.float64(0.7)), (0b110, np.float64(0.6))]
+        message = "constraint values sum to 1.2999999999999998 > 1"
+        with pytest.raises(InfeasibleConstraintsError, match=f"^{re.escape(message)}$"):
+            least_committed_from_disjoint_constraints(F3, constraints)
 
     def test_empty_set_constraint_rejected(self):
         with pytest.raises(InfeasibleConstraintsError):

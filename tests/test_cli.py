@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from beliefdyn.belief import (
     pl_from_mass,
     q_from_mass,
 )
-from beliefdyn.specialization import dempsterian_matrix
+from beliefdyn.specialization import dempsterian_matrix, disjunctive_matrix
 from beliefdyn.verify import random_mass
 from oracles import reference_document
 
@@ -372,10 +376,24 @@ class TestDocumentRoutes:
     def test_other_orders_go_key_by_key(self, mapping):
         assert parse_route(self.ABC, mapping) == (False, [0.1, 0.2, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0])
 
-    def test_newline_in_a_label_goes_key_by_key(self):
-        # the one-pass check joins keys by newlines
+    def test_newline_in_a_label_is_one_pass(self):
         mapping = {"": 0.5, "x\ny": 0.25, "z": 0.125, "x\ny|z": 0.125}
-        assert parse_route(["x\ny", "z"], mapping) == (False, [0.5, 0.25, 0.125, 0.125])
+        assert parse_route(["x\ny", "z"], mapping) == (True, [0.5, 0.25, 0.125, 0.125])
+
+    @pytest.mark.parametrize(
+        "count, swap, dense",
+        [(1 << 13, None, True), (5000, None, True), (5000, 4097, False), (1 << 13, 8190, False)],
+        ids=["full", "prefix-into-chunk-1", "swap-in-chunk-1", "swap-at-the-end"],
+    )
+    def test_keys_past_the_first_chunk_are_compared(self, count, swap, dense):
+        frame = default_frame(13)
+        keys = [subset_key(frame, s) for s in range(count)]
+        if swap is not None:
+            keys[swap], keys[swap + 1] = keys[swap + 1], keys[swap]
+        mapping = dict.fromkeys(keys, 0.0)
+        mapping[""] = 1.0
+        expected = [1.0] + [0.0] * (frame.size - 1)
+        assert parse_route(list(frame.labels), mapping) == (dense, expected)
 
     @pytest.mark.parametrize(
         "mapping, dense, error",
@@ -385,8 +403,11 @@ class TestDocumentRoutes:
             ({"": 0.1, "a": 10**400, "b": 0.3}, False, "value for 'a' is too large for a float"),
             ({"": 0.1, "a": 0.2, "z": 0.3}, False, "label 'z' not in frame ('a', 'b', 'c')"),
             ({"": 0.1, "a": 0.2, "b": float("nan")}, True, "value for 'b' is not finite: nan"),
+            # the whole table, then one key more
+            ({**dict.fromkeys(["", "a", "b", "a|b", "c", "a|c", "b|c"], 0.0), "a|b|c": 1.0, "z": 0.0},
+             False, "label 'z' not in frame ('a', 'b', 'c')"),
         ],
-        ids=["bool", "400-digit-integer", "unknown-label", "nan"],
+        ids=["bool", "400-digit-integer", "unknown-label", "nan", "key-past-the-table"],
     )
     def test_rejected_maps_keep_their_error(self, mapping, dense, error):
         assert parse_route(self.ABC, mapping) == (dense, error)
@@ -703,6 +724,14 @@ class TestMatrix:
         assert text.splitlines()[2:] == lines
         assert text.endswith(lines[-1] + "\n")
 
+    def test_disjunctive_export(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", PARTIAL)
+        assert main(["matrix", path, "--kind", "disjunctive"]) == 0
+        m = parse_document(json.dumps(PARTIAL))
+        assert capsys.readouterr().out == format_matrix(
+            m.frame, disjunctive_matrix(m).values, "disjunctive"
+        )
+
     def test_singular_despecialization_is_precondition_error(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", {"frame": ["a", "b"], "masses": {"a": 0.5, "b": 0.5}})
         assert main(["matrix", path, "--kind", "despecialization"]) == 3
@@ -835,16 +864,74 @@ ERROR_CASES = {
 }
 
 
-@pytest.mark.parametrize("files, argv, code", ERROR_CASES.values(), ids=ERROR_CASES.keys())
-def test_error_exits_with_one_error_line(tmp_path, capsys, files, argv, code):
+def run_case(tmp_path, files, argv) -> int:
+    """Write ``files`` to ``tmp_path`` and run the CLI on ``argv``."""
     for name, doc in files.items():
         if isinstance(doc, bytes):
             (tmp_path / name).write_bytes(doc)
         else:
             (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
-    assert main(argv) == code
+    return main([str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv])
+
+
+@pytest.mark.parametrize("files, argv, code", ERROR_CASES.values(), ids=ERROR_CASES.keys())
+def test_error_exits_with_one_error_line(tmp_path, capsys, files, argv, code):
+    assert run_case(tmp_path, files, argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+Q_DOC = {"frame": ["a"], "kind": "q", "values": {"": 1.0, "a": 0.5}}
+
+# (files, command line, exit code, the error line with "@" for the test directory)
+ERROR_MESSAGES = {
+    "value-document-combined": ({"m": PAIR0, "q": Q_DOC}, ["combine", "@m", "@q"], 2,
+                                "expected a mass document, got a value-function document"),
+    "frame-only": ({"m": {"frame": ["a"]}}, ["convert", "@m", "--to", "bel"], 2,
+                   'document needs a "masses" or a "kind" + "values" entry'),
+    "not-an-object": ({"m": "5"}, ["convert", "@m", "--to", "bel"], 2,
+                      "document must be a JSON object"),
+    "q-anchor": ({"m": {**Q_DOC, "values": {"": 0.5, "a": 0.5}}}, ["convert", "@m", "--to", "mass"], 2,
+                 "q must take value 1.0 on the empty set, got 0.5"),
+    "bel-anchor": ({"m": {**Q_DOC, "kind": "bel", "values": {"": 0.5, "a": 1.0}}},
+                   ["convert", "@m", "--to", "mass"], 2,
+                   "bel must take value 0.0 on the empty set, got 0.5"),
+    "matrix-needs-input": ({}, ["matrix", "--kind", "dempsterian"], 2,
+                           "--kind dempsterian needs an input mass file"),
+    "matrix-no-frame": ({}, ["matrix", "--kind", "specialization", "--conditioning", ""], 2,
+                        "no frame: give an input file, --frame, or a non-empty --conditioning key"),
+    "output-directory-missing": ({"m": PAIR0}, ["convert", "@m", "--to", "bel", "-o", "@none/x.json"],
+                                 2, "[Errno 2] No such file or directory: '@none/x.json'"),
+}
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, message", ERROR_MESSAGES.values(), ids=ERROR_MESSAGES.keys()
+)
+def test_error_line_is_pinned(tmp_path, capsys, files, argv, code, message):
+    assert run_case(tmp_path, files, argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.replace('@', f'{tmp_path}/')}\n"
+
+
+def test_utf_8_documents_under_an_ascii_locale(tmp_path):
+    """Documents are UTF-8 (RFC 8259) whatever the locale says."""
+    labels = ["\u00e9", "b"]
+    (tmp_path / "m.json").write_bytes(json.dumps(
+        {"frame": labels, "masses": {"\u00e9": 0.5, "\u00e9|b": 0.5}}, ensure_ascii=False
+    ).encode("utf-8"))
+    env = {key: value for key, value in os.environ.items() if not key.startswith(("LC_", "PYTHONIO"))}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv in (["convert", "m.json", "--to", "bel", "-o", "bel.json"],
+                 ["matrix", "m.json", "--kind", "dempsterian", "-o", "matrix.txt"]):
+        proc = subprocess.run([sys.executable, "-m", "beliefdyn.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert parse_document((tmp_path / "bel.json").read_text(encoding="utf-8")).frame.labels == (
+        "\u00e9", "b"
+    )
+    header = (tmp_path / "matrix.txt").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "# dempsterian matrix on frame \u00e9|b"

@@ -62,6 +62,8 @@ class TestFrame:
             Frame(("a", ""))
         with pytest.raises(FrameTooLargeError):
             default_frame(21)
+        with pytest.raises(FrameTooLargeError, match="^frame has 21 elements, cap is 20$"):
+            Frame(tuple(f"e{i}" for i in range(21)))
 
     def test_unknown_label(self):
         with pytest.raises(FrameMismatchError):

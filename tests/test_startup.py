@@ -83,6 +83,15 @@ def test_lazy_names_resolve_on_first_use():
     }
 
 
+def test_lazy_names_resolve_in_process():
+    assert beliefdyn.__getattr__("verify") is verify
+    assert beliefdyn.__getattr__("run_all") is verify.run_all
+    assert beliefdyn.__getattr__("apply") is specialization.apply
+    listed = dir(beliefdyn)
+    assert listed == sorted(listed)
+    assert {*LAZY, *(n for names in LAZY.values() for n in names)} <= set(listed)
+
+
 def test_star_import_brings_the_lazy_names():
     namespace = {}
     exec("from beliefdyn import *", namespace)
