@@ -395,9 +395,13 @@ def format_value_document(v: ValueFunction) -> str:
 
 
 def format_matrix(frame: Frame, values: np.ndarray, kind: str) -> str:
-    """Dense row-major matrix text with the index convention in the header."""
+    """Dense row-major matrix text with the index convention in the header.
+
+    The header escapes ``kind`` and the labels as documents escape keys, so
+    the text is ASCII and one line per row whatever the labels hold.
+    """
     lines = [
-        f"# {kind} matrix on frame {'|'.join(frame.labels)}",
+        f"# {_json_text(kind)} matrix on frame {_json_text('|'.join(frame.labels))}",
         "# rows: source subset, cols: target subset, indexed by bitmask "
         "(bit i = i-th frame label, 0 = empty set)",
     ]

@@ -11,11 +11,14 @@ is always at least as committed as the input.  Two constructions matter:
 
 Generalization matrices are the upward duals (mass flows to supersets);
 de-specialization matrices are the linear inverses and realize retraction.
-Every builder fills its rows with :func:`_transfer_rows`, which doubles the
-rows filled so far by one fold per frame element: a row with an element
-missing is the row with it present, conditioned (or, upward, enlarged) once
-more.  The Dempsterian test and the eigenstructure are that fold and a pass
-in place, and no test gathers entries: each is a few O(N**2) passes.
+A specialization (generalization) matrix of a mass function is nonzero on
+at most ``3**n`` of its ``4**n`` entries, the pairs ``B subset of A`` (``B
+superset of A``), and every builder computes only those.  A cached support
+plan lists them in the order of one fold per frame element: a row with an
+element missing is the row with it present, conditioned (or, upward,
+enlarged) once more.  :func:`_transfer_rows` runs that fold on the support
+entries and scatters them into zeros; the Dempsterian test and the
+eigenstructure compare a matrix with the fold on the support entries alone.
 
 Each matrix is built once.  The matrix classes adopt a read-only float64
 array that owns its memory, which is how every builder hands over its
@@ -139,40 +142,110 @@ def _off_support(size: int, upward: bool = False) -> np.ndarray:
     return out
 
 
+def _bits_at(x: np.ndarray, mask: np.ndarray, n: int, deposit: bool) -> np.ndarray:
+    """Per entry: the low bits of ``x`` moved to the set bits of ``mask`` (``deposit``), or back."""
+    out, k = np.zeros_like(x), np.zeros_like(x)
+    for t in range(n):
+        bit = mask >> t & 1
+        out |= ((x >> k & bit) << t) if deposit else ((x >> t & bit) << k)
+        k += bit
+    return out
+
+
+@functools.cache
+def _support_plan(size: int, down: bool):
+    """The support entries of a :func:`_transfer_rows` matrix, in fold order; built once, read-only.
+
+    Returns ``flat``, the position ``row * size + col`` of each of the
+    ``3**n`` entries with ``col`` a subset (``down`` false: a superset) of
+    ``row``, and one ``(lo, hi, first, second)`` per fold level ``b``: the
+    entries ``lo:hi`` are the sums of the entries at ``first`` and
+    ``second``.  The first ``size`` entries are the seed row (full, ``down``
+    false: empty); then come level ``b``'s rows, ``size - 1 - p`` (``down``
+    false: ``p``) for ``p`` in ``[b, 2b)``.  A row lists its columns
+    ascending.  Row ``A`` of level ``b`` sums row ``A ^ b``'s entries at
+    ``X & ~b`` and ``X | b``: ``src[X] + src[X | b]`` downward and
+    ``src[X & ~b] + src[X]`` upward, as the dense fold added them.
+
+    An entry's index is its row's start plus the rank of its column among
+    the row's: the column's free bits (those of ``A``, upward those outside
+    ``A``) gathered to the low end.  A temporary holds at most one level,
+    ``3**(n-1)`` entries.
+    """
+    n, full = size.bit_length() - 1, size - 1
+
+    def free(row):
+        return row if down else full & ~row
+
+    rows = np.arange(size, dtype=np.int32)
+    if down:
+        rows = full - rows
+    counts = np.ones_like(rows)
+    for t in range(n):
+        counts <<= free(rows) >> t & 1
+    ends = np.cumsum(counts, dtype=np.int32)
+    start = np.empty_like(rows)
+    start[rows] = ends - counts
+    flat = np.empty(ends[-1], dtype=np.int32)
+    flat[:size] = rows[0] * size + np.arange(size)
+    first, second = np.zeros((2, ends[-1]), dtype=np.int32)  # the seed row's stay unused
+    levels = [(1 << k, int(ends[(1 << k) - 1]), int(ends[(2 << k) - 1])) for k in range(n)]
+    for b, lo, hi in levels:
+        row = np.repeat(rows[b : 2 * b], counts[b : 2 * b])
+        col = _bits_at(np.arange(lo, hi, dtype=np.int32) - start[row], free(row), n, deposit=True)
+        col |= 0 if down else row
+        flat[lo:hi] = row * size + col
+        row ^= b
+        for out, c in ((first, col & ~b), (second, col | b)):
+            out[lo:hi] = start[row] + _bits_at(c, free(row), n, deposit=False)
+    for array in (flat, first, second):
+        array.flags.writeable = False  # before slicing: the slices inherit it
+    return flat, tuple((lo, hi, first[lo:hi], second[lo:hi]) for _, lo, hi in levels)
+
+
+def _support_values(values: np.ndarray, down: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The support entries of ``_transfer_rows(values, op)`` as a ``(..., 3**n)`` stack, and their positions.
+
+    The seed row is ``values + 0.0``; each level then takes one sum per entry
+    through the plan, in the plan's order.  Returns the entries and the
+    plan's ``flat`` positions.
+    """
+    size = values.shape[-1]
+    flat, plan = _support_plan(size, down)
+    out = np.empty((*values.shape[:-1], flat.size))
+    np.add(values, 0.0, out=out[..., :size])
+    with np.errstate(invalid="ignore"):  # inf + -inf gives NaN, as in the scatter
+        for lo, hi, first, second in plan:
+            np.add(out[..., first], out[..., second], out=out[..., lo:hi])
+    return out, flat
+
+
 def _transfer_rows(values: np.ndarray, op) -> np.ndarray:
     """Matrices whose row ``A`` moves each mass of ``values`` from ``X`` to ``op(A, X)``.
 
     ``values`` is a ``(..., N)`` stack for ``N = 2**n`` subsets; the result is
-    ``(..., N, N)``.  ``op`` is ``np.bitwise_and`` (row ``A`` is ``values``
-    conditioned on ``A``) or ``np.bitwise_or`` (row ``A`` is ``values``
-    enlarged by ``A``).  The rows are filled by ``n`` folds in place, with
-    no index array.  For ``np.bitwise_and`` the full row is ``values + 0.0``;
-    then for ``b = 1, 2, .., N/2`` the rows ``[N-2b, N-b)`` are the rows
-    ``[N-b, N)`` with each entry at ``X | b`` added onto ``X``.  For
-    ``np.bitwise_or`` the mirror: row empty is ``values + 0.0``, and the rows
-    ``[b, 2b)`` are the rows ``[0, b)`` with each entry at ``X`` added onto
-    ``X | b``.
+    a fresh ``(..., N, N)`` array.  ``op`` is ``np.bitwise_and`` (row ``A`` is
+    ``values`` conditioned on ``A``) or ``np.bitwise_or`` (row ``A`` is
+    ``values`` enlarged by ``A``).  Only the ``3**n`` support entries are
+    computed, by :func:`_support_values`, and scattered into zeros.  For
+    ``np.bitwise_and`` the full row is ``values + 0.0``; then for
+    ``b = 1, 2, .., N/2`` each row ``A`` in ``[N-2b, N-b)`` is row ``A | b``
+    with its entry at ``X | b`` added onto ``X``.  For ``np.bitwise_or`` the
+    mirror: row empty is ``values + 0.0``, and each row ``A | b`` in
+    ``[b, 2b)`` is row ``A`` with its entry at ``X`` added onto ``X | b``.
 
     So an entry sums its inputs in fold order, not in increasing ``X`` order
     as :func:`lattice._transfer` does: a sum of three or more nonzero inputs
     can differ from that scatter in the last bit, and 0/1 rows stay exact.
     The seed row is ``values + 0.0`` and every other entry starts at +0.0, so
-    no zero of the output is -0.0.  A matrix of a stack goes through the same
+    no zero of the output is -0.0, and an entry off the support is +0.0 even
+    where ``values`` is not finite.  A matrix of a stack goes through the same
     additions as on its own, so it is bit for bit the matrix on its own.
     """
     size = values.shape[-1]
+    entries, flat = _support_values(values, op is np.bitwise_and)
     out = np.zeros((*values.shape[:-1], size, size))
-    down = op is np.bitwise_and
-    np.add(values, 0.0, out=out[..., -1 if down else 0, :])
-    b = 1
-    with np.errstate(invalid="ignore"):  # inf + -inf gives NaN, as in the scatter
-        while b < size:
-            source, first, keep = (size - b, size - 2 * b, 0) if down else (0, b, 1)
-            shape = (*out.shape[:-2], b, size // (2 * b), 2, b)
-            src = out[..., source : source + b, :].reshape(shape)
-            dst = out[..., first : first + b, :].reshape(shape)
-            np.add(src[..., 0, :], src[..., 1, :], out=dst[..., keep, :])
-            b *= 2
+    out.reshape(*values.shape[:-1], -1)[..., flat] = entries
     return out
 
 
@@ -233,15 +306,18 @@ def is_valid_generalization(g: GeneralizationMatrix, tol: float = DEFAULT_TOL) -
 
 
 def _is_dempsterian(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Per matrix of a stack: :func:`_bounded`, and every row the top row conditioned on its subset.
+    """Per matrix of a stack: :func:`_valid`, and every row the top row conditioned on its subset.
 
-    The conditioned rows are +0.0 off the support, so a gap (taken in place)
-    of at most ``tol`` bounds the off-support entries as :func:`_valid` does.
+    Only the support entries are compared, against :func:`_support_values` of
+    the top row.  The conditioned rows are +0.0 off the support, and
+    :func:`_bounded` bounds every entry below by ``-tol``, so there a gap of
+    at most ``tol`` is :func:`_valid`'s one-sided test.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives NaN, huge entries inf; both fail
-        gap = _transfer_rows(v[..., -1, :], np.bitwise_and)
-        gap = np.abs(np.subtract(v, gap, out=gap), out=gap).max(axis=(-2, -1))
-    return _bounded(v, tol) & (gap <= tol)
+        expected, flat = _support_values(v[..., -1, :], down=True)
+        gap = np.subtract(v.reshape(*v.shape[:-2], -1)[..., flat], expected, out=expected)
+        gap = np.abs(gap, out=gap).max(axis=-1)
+    return _valid(v, tol) & (gap <= tol)
 
 
 def is_dempsterian(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> bool:
@@ -377,12 +453,17 @@ def eigen_structure(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> EigenS
 
     ``reconstruction_error`` is the max-norm distance from ``s`` to that
     product, the Dempsterian matrix of the signed masses ``mobius_supersets(q)``
-    (see :func:`despecialize_matrix`): one :func:`_transfer_rows`, O(N**2)
-    for ``N = 2**n`` subsets, with the error taken in place.
+    (see :func:`despecialize_matrix`).  That matrix is +0.0 off the support,
+    so the error is the larger of the gap on the ``3**n`` support entries,
+    from :func:`_support_values`, and the largest ``|s|`` off the support,
+    taken from one ``abs`` copy with the support zeroed.
     """
     q = _dempsterian_diagonal(s, tol)
-    gap = _transfer_rows(lattice.mobius_supersets(q), np.bitwise_and)
-    err = float(np.abs(np.subtract(s.values, gap, out=gap), out=gap).max())
+    expected, flat = _support_values(lattice.mobius_supersets(q), down=True)
+    on = np.subtract(s.values.reshape(-1)[flat], expected, out=expected)
+    off = np.abs(s.values).reshape(-1)
+    off[flat] = 0.0
+    err = float(np.maximum(np.abs(on, out=on).max(), off.max()))
     t, t_inverse = _incidence_pair(s.frame.size)
     return EigenStructure(s.frame, t.view(), q, t_inverse.view(), err)
 
@@ -397,8 +478,8 @@ def despecialize_matrix(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> De
     For any vector ``w``, ``T diag(w) T_inverse`` is the matrix whose row
     ``A`` moves the signed masses ``mobius_supersets(w)`` from ``X`` to
     ``A & X`` (the Dempsterian matrix of those masses), so the inverse is
-    one Moebius transform and one :func:`_transfer_rows`, O(N**2) for
-    ``N = 2**n`` subsets, with neither ``T`` nor ``T_inverse`` built.
+    one Moebius transform and one :func:`_transfer_rows`, ``3**n`` sums for
+    ``2**n`` subsets, with neither ``T`` nor ``T_inverse`` built.
     """
     q = _dempsterian_diagonal(s, tol)
     if np.abs(q).min() <= tol:

@@ -1,10 +1,12 @@
-"""Peak resident size of CLI commands on a dense mass document at the 20-element cap.
+"""Peak resident size of CLI commands on dense mass documents at the frame caps.
 
-Writes a mass document with all 2**20 masses non-zero through
-``documents.format_mass_document``, then runs ``beliefdyn combine`` (the
-document with itself) and ``beliefdyn convert --to pl`` on it, each in a
-child process.  Prints each child's peak resident size (``ru_maxrss``) and
-exits 1 if a child fails or peaks above ``LIMIT_MB``.
+Writes mass documents with every mass non-zero through
+``documents.format_mass_document``: one at the 20-element cap of the
+vectors, one at the 10-element cap of the matrices.  Then runs ``beliefdyn
+combine`` (the first document with itself) and ``beliefdyn convert --to
+pl`` on the first, and ``beliefdyn matrix --kind despecialization`` on the
+second, each in a child process.  Prints each child's peak resident size
+(``ru_maxrss``) and exits 1 if a child fails or peaks above its limit.
 
 A child's ``ru_maxrss`` counts the resident size of the process that
 spawned it, so this script imports nothing heavy and writes the document
@@ -19,7 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-LIMIT_MB = 300
+LIMIT_MB = 300  # the commands on the 20-element document
+MATRIX_LIMIT_MB = 100  # the matrix command on the 10-element document
 
 WRITE = """
 import sys
@@ -28,8 +31,9 @@ from beliefdyn.belief import MassFunction
 from beliefdyn.documents import format_mass_document
 from beliefdyn.lattice import default_frame
 
-values = np.random.default_rng(20).random(1 << 20) + 1e-3
-frame = default_frame(20)
+n = int(sys.argv[2])
+values = np.random.default_rng(n).random(1 << n) + 1e-3
+frame = default_frame(n)
 with open(sys.argv[1], "w") as file:
     file.write(format_mass_document(MassFunction(frame, values / values.sum())))
 """
@@ -44,20 +48,26 @@ def run(argv: list[str]) -> tuple[int, float]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        doc = str(Path(tmp, "dense20.json"))
-        code, _ = run([sys.executable, "-c", WRITE, doc])
-        if code != 0:
-            print(f"writing the document exited {code}")
-            return 1
-        print(f"dense n=20 mass document: {os.path.getsize(doc) / 1e6:.1f} MB")
+        docs = {}
+        for n in (20, 10):
+            docs[n] = str(Path(tmp, f"dense{n}.json"))
+            code, _ = run([sys.executable, "-c", WRITE, docs[n], str(n)])
+            if code != 0:
+                print(f"writing the n={n} document exited {code}")
+                return 1
+            print(f"dense n={n} mass document: {os.path.getsize(docs[n]) / 1e6:.2f} MB")
         failed = False
-        for argv in (["combine", doc, doc], ["convert", doc, "--to", "pl"]):
-            out = str(Path(tmp, "out.json"))
+        for argv, limit in (
+            (["combine", docs[20], docs[20]], LIMIT_MB),
+            (["convert", docs[20], "--to", "pl"], LIMIT_MB),
+            (["matrix", docs[10], "--kind", "despecialization"], MATRIX_LIMIT_MB),
+        ):
+            out = str(Path(tmp, "out.txt"))
             code, peak = run([sys.executable, "-m", "beliefdyn.cli", *argv, "-o", out])
-            ok = code == 0 and peak <= LIMIT_MB
+            ok = code == 0 and peak <= limit
             failed |= not ok
             print(f"beliefdyn {argv[0]}: exit {code}, peak {peak:.1f} MB "
-                  f"(limit {LIMIT_MB}) {'ok' if ok else 'FAILED'}")
+                  f"(limit {limit}) {'ok' if ok else 'FAILED'}")
         return 1 if failed else 0
 
 

@@ -80,6 +80,31 @@ def dense_eigen_product(w):
     return (t * w[None, :]) @ naive_incidence_inverse(w.size)
 
 
+def dense_fold_rows(values, op):
+    """Matrices whose row ``A`` moves each mass of ``values`` from ``X`` to ``op(A, X)``, by dense folds.
+
+    The library's builder as it was before it computed only the support
+    entries: the seed row is ``values + 0.0`` (row full for ``np.bitwise_and``,
+    row empty for ``np.bitwise_or``), and ``n`` folds in place fill every
+    other row with all ``N`` entries, off-support ones as ``0.0 + 0.0``.  Kept
+    so the tests can hold the support plan to these bits.
+    """
+    size = values.shape[-1]
+    out = np.zeros((*values.shape[:-1], size, size))
+    down = op is np.bitwise_and
+    np.add(values, 0.0, out=out[..., -1 if down else 0, :])
+    b = 1
+    with np.errstate(invalid="ignore"):  # inf + -inf gives NaN
+        while b < size:
+            source, first, keep = (size - b, size - 2 * b, 0) if down else (0, b, 1)
+            shape = (*out.shape[:-2], b, size // (2 * b), 2, b)
+            src = out[..., source : source + b, :].reshape(shape)
+            dst = out[..., first : first + b, :].reshape(shape)
+            np.add(src[..., 0, :], src[..., 1, :], out=dst[..., keep, :])
+            b *= 2
+    return out
+
+
 def gathered_valid(v, tol, upward=False):
     """Specialization (``upward``: generalization) invariants per matrix of a ``(k, N, N)`` stack.
 

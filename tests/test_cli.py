@@ -934,4 +934,32 @@ def test_utf_8_documents_under_an_ascii_locale(tmp_path):
         "\u00e9", "b"
     )
     header = (tmp_path / "matrix.txt").read_text(encoding="utf-8").splitlines()[0]
-    assert header == "# dempsterian matrix on frame \u00e9|b"
+    assert header == "# dempsterian matrix on frame \\u00e9|b"
+
+
+def test_matrix_text_on_stdout_under_an_ascii_locale(tmp_path):
+    """Matrix text escapes its labels as documents escape keys, so it is ASCII on any stdout."""
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"frame": ["\u00e9", "b"], "masses": {"\u00e9": 0.5, "\u00e9|b": 0.5}}
+    ))
+    env = {key: value for key, value in os.environ.items() if not key.startswith(("LC_", "PYTHONIO"))}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "beliefdyn.cli", "matrix", "m.json", "--kind", "dempsterian"],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.isascii()
+    assert proc.stdout.decode("ascii").splitlines()[0] == "# dempsterian matrix on frame \\u00e9|b"
+
+
+def test_matrix_header_escapes_kind_and_labels():
+    frame = Frame(("a\nb", 'say "x"', "\u00e9"))
+    text = format_matrix(frame, np.eye(8), "conditioning-on-\u00e9 specialization")
+    assert text.isascii()
+    assert text.splitlines()[0] == (
+        '# conditioning-on-\\u00e9 specialization matrix on frame a\\nb|say \\"x\\"|\\u00e9'
+    )
+    assert len(text.splitlines()) == 2 + 8
+    plain = default_frame(2)
+    assert format_matrix(plain, np.eye(4), "dempsterian").splitlines()[0] == (
+        f"# dempsterian matrix on frame {'|'.join(plain.labels)}"
+    )

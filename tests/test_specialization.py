@@ -14,13 +14,14 @@ from beliefdyn.errors import (
     NotDempsterianError,
     SingularSpecializationError,
 )
-from beliefdyn.lattice import CAP_MATRIX, DEFAULT_TOL, _transfer, default_frame
+from beliefdyn.lattice import CAP_MATRIX, DEFAULT_TOL, _transfer, default_frame, mobius_supersets
 from beliefdyn.specialization import (
     DespecializationMatrix,
     GeneralizationMatrix,
     SpecializationMatrix,
     _bounded,
     _is_dempsterian,
+    _support_plan,
     _transfer_rows,
     _valid,
     apply,
@@ -42,6 +43,7 @@ from beliefdyn.specialization import (
 from beliefdyn.verify import random_mass, random_specialization
 from oracles import (
     dense_eigen_product,
+    dense_fold_rows,
     gathered_is_dempsterian,
     gathered_valid,
     naive_incidence_inverse,
@@ -375,6 +377,95 @@ class TestGatherFreeDecisions:
             despecialize_matrix(s)
 
 
+def signed_zeros_and_non_finite_rows() -> np.ndarray:
+    """Six rows on 32 subsets with -0.0 entries and columns, a NaN, and +inf and -inf in one row."""
+    rng = np.random.default_rng(25)
+    a = rng.random((6, 32)) * (rng.random((6, 32)) < 0.4)
+    a[:, 6] = -0.0  # a column that is zero in every row
+    a[1, 3] = a[2, 9] = -0.0
+    a[3] = -0.0
+    a[4, 17] = np.nan
+    a[5, 5], a[5, 22] = np.inf, -np.inf  # rows where both land on one entry get NaN
+    return a
+
+
+def dense_gap_is_dempsterian(v: np.ndarray, tol: float) -> bool:
+    """The Dempsterian test as a gap against the dense fold of the top row, over all ``4**n`` entries."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = np.abs(v - dense_fold_rows(v[-1], np.bitwise_and)).max()
+    return bool(_bounded(v, tol)) and bool(gap <= tol)
+
+
+class TestSupportPlan:
+    """The support entries alone give the dense fold's matrices, verdicts and errors bit for bit."""
+
+    @pytest.mark.parametrize("op", [np.bitwise_and, np.bitwise_or])
+    def test_single_rows_are_the_dense_fold(self, op):
+        rng = np.random.default_rng(30)
+        for n in range(1, CAP_MATRIX + 1):
+            a = rng.random(1 << n) * (rng.random(1 << n) < 0.7)
+            assert _transfer_rows(a, op).tobytes() == dense_fold_rows(a, op).tobytes()
+
+    @pytest.mark.parametrize("op", [np.bitwise_and, np.bitwise_or])
+    def test_stacks_are_the_dense_fold(self, op):
+        rng = np.random.default_rng(31)
+        for n in range(1, 8):
+            for shape in ((5, 1 << n), (2, 2, 1 << n)):
+                a = rng.random(shape)
+                assert _transfer_rows(a, op).tobytes() == dense_fold_rows(a, op).tobytes()
+        a = signed_zeros_and_non_finite_rows()
+        assert _transfer_rows(a, op).tobytes() == dense_fold_rows(a, op).tobytes()
+
+    @pytest.mark.parametrize("n", [4, CAP_MATRIX])
+    def test_dempsterian_verdicts_are_the_dense_gap(self, n):
+        frame = default_frame(n)
+        base = dempsterian_matrix(invertible_mass(frame, np.random.default_rng(32 + n))).values
+        row = frame.size - 2  # every element but the first: column 0 is on the support, the frame off it
+        amounts = [s * f * DEFAULT_TOL for s in (1, -1) for f in (0.5, 1.0, 2.0)]
+        verdicts = []
+        for col in (0, frame.size - 1):
+            for amount in amounts:
+                values = base.copy()
+                values[row, col] += amount
+                verdict = bool(_is_dempsterian(values))
+                assert verdict == dense_gap_is_dempsterian(values, DEFAULT_TOL)
+                verdicts.append(verdict)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("n", [1, 4, CAP_MATRIX])
+    def test_reconstruction_error_is_the_dense_gap(self, n):
+        frame = default_frame(n)
+        values = dempsterian_matrix(invertible_mass(frame, np.random.default_rng(33 + n))).values.copy()
+        for off_support in (0.0, 5e-10):  # the second sets the error
+            values[0, frame.size - 1] = off_support
+            s = SpecializationMatrix(frame, values)
+            expected = dense_fold_rows(mobius_supersets(np.diag(values).copy()), np.bitwise_and)
+            err = eigen_structure(s).reconstruction_error
+            assert err == float(np.abs(values - expected).max())
+        assert err == 5e-10
+
+    @pytest.mark.parametrize("down", [True, False])
+    def test_cached_plan_is_read_only(self, down):
+        flat, levels = _support_plan(16, down)
+        arrays = [flat, *(index for _, _, first, second in levels for index in (first, second))]
+        for array in arrays:
+            assert array.dtype == np.int32
+            with pytest.raises(ValueError):
+                array[0] = 0
+        a = np.random.default_rng(34).random(16)
+        op = np.bitwise_and if down else np.bitwise_or
+        assert _transfer_rows(a, op).tobytes() == dense_fold_rows(a, op).tobytes()
+
+    @pytest.mark.parametrize("down", [True, False])
+    def test_plan_lists_each_support_entry_once(self, down):
+        n = 6
+        flat, levels = _support_plan(1 << n, down)
+        row, col = np.divmod(flat, 1 << n)
+        assert flat.size == 3**n == np.unique(flat).size
+        assert not ((col & ~row) if down else (row & ~col)).any()
+        assert [hi - lo for lo, hi, _, _ in levels] == [2 ** (n - k - 1) * 3**k for k in range(n)]
+
+
 class TestFoldBuilder:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_conditioning_and_enlargement_are_the_scatter_bit_for_bit(self, n):
@@ -388,13 +479,7 @@ class TestFoldBuilder:
 
     @pytest.mark.parametrize("op", [np.bitwise_and, np.bitwise_or])
     def test_signed_zeros_and_non_finite_entries(self, op):
-        rng = np.random.default_rng(25)
-        a = rng.random((6, 32)) * (rng.random((6, 32)) < 0.4)
-        a[:, 6] = -0.0  # a column that is zero in every row
-        a[1, 3] = a[2, 9] = -0.0
-        a[3] = -0.0
-        a[4, 17] = np.nan
-        a[5, 5], a[5, 22] = np.inf, -np.inf  # rows where both land on one entry get NaN
+        a = signed_zeros_and_non_finite_rows()
         out, expected = _transfer_rows(a, op), scattered_rows(a, op)
         finite = np.isfinite(expected)
         assert np.isnan(expected).any() and np.isinf(expected).any()
