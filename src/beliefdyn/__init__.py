@@ -25,7 +25,7 @@ from .belief import (
     q_from_mass,
     vacuous,
 )
-from .commitment import Ordering, compare, compare_bel_form, is_at_least_as_committed
+from .commitment import Ordering, compare, is_at_least_as_committed
 from .dynamics import (
     combine_conjunctive,
     combine_disjunctive,

@@ -173,6 +173,14 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise InputError(f"{flag} wants a comma-separated list of integers, got {text!r}") from exc
 
 
+def _utf8(text: str) -> str:
+    """A label argument decoded as UTF-8 from its bytes, which a locale such as ASCII leaves escaped."""
+    try:
+        return text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError:
+        raise argparse.ArgumentTypeError(f"not UTF-8: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beliefdyn",
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("condition", help="condition evidence on a subset")
     p.add_argument("input")
-    p.add_argument("--on", required=True, metavar="SUBSET-KEY")
+    p.add_argument("--on", required=True, metavar="SUBSET-KEY", type=_utf8)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_on_subset, rule=condition)
 
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enlarge", help="make the elements of a subset indiscernible")
     p.add_argument("input")
-    p.add_argument("--on", required=True, metavar="SUBSET-KEY")
+    p.add_argument("--on", required=True, metavar="SUBSET-KEY", type=_utf8)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_on_subset, rule=enlarge)
 
@@ -216,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?")
     p.add_argument("--kind", required=True,
                    choices=["specialization", "dempsterian", "despecialization", "disjunctive"])
-    p.add_argument("--conditioning", metavar="SUBSET-KEY")
-    p.add_argument("--frame", metavar="LABELS", help="comma-separated labels when no input file")
+    p.add_argument("--conditioning", metavar="SUBSET-KEY", type=_utf8)
+    p.add_argument("--frame", metavar="LABELS", type=_utf8, help="comma-separated labels when no input file")
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_matrix)
 

@@ -3,16 +3,14 @@
 State 1 is *at least as committed* as state 2 when ``pl1(A) <= pl2(A)`` for
 every subset ``A``: it allocates no more potential support anywhere.  The
 least committed state of all is the vacuous one.  An equivalent formulation
-compares ``b(A) = bel(A) + m(empty)`` with the inequality reversed; both are
-implemented and must agree on every input.
+compares ``b(A) = bel(A) + m(empty)`` with the inequality reversed.
 
 :func:`compare` runs one transform: ``d = b1 - b2`` is the subset sum of
 ``m1 - m2``, and since ``pl(A) = b(full) - b(complement of A)``, the
 plausibility excess ``pl1 - pl2`` is ``d[full] - d`` read at the
 complement of each subset.  The classification looks only at signs against
 the tolerance, not at which subset holds them, so the excess needs no
-reordering.  :func:`compare_bel_form` transforms each state on its own,
-an independent route for the tests to hold it against.
+reordering.
 """
 
 from __future__ import annotations
@@ -56,15 +54,6 @@ def compare(m1: MassFunction, m2: MassFunction, tol: float = DEFAULT_TOL) -> Ord
     d = lattice.zeta_subsets(m1.values - m2.values)
     # pl1 - pl2 at the complement of each subset
     return _classify(np.subtract(d[-1], d, out=d), tol)
-
-
-def compare_bel_form(m1: MassFunction, m2: MassFunction, tol: float = DEFAULT_TOL) -> Ordering:
-    """Same ordering computed from ``b = bel + m(empty)``, larger-is-more-committed."""
-    require_same_frame(m1, m2)
-    b1 = lattice.zeta_subsets(m1.values)
-    b2 = lattice.zeta_subsets(m2.values)
-    # b1 >= b2 everywhere  <=>  pl1 <= pl2 everywhere (total mass is one)
-    return _classify(b2 - b1, tol)
 
 
 def is_at_least_as_committed(m1: MassFunction, m2: MassFunction, tol: float = DEFAULT_TOL) -> bool:

@@ -142,16 +142,6 @@ def _off_support(size: int, upward: bool = False) -> np.ndarray:
     return out
 
 
-def _bits_at(x: np.ndarray, mask: np.ndarray, n: int, deposit: bool) -> np.ndarray:
-    """Per entry: the low bits of ``x`` moved to the set bits of ``mask`` (``deposit``), or back."""
-    out, k = np.zeros_like(x), np.zeros_like(x)
-    for t in range(n):
-        bit = mask >> t & 1
-        out |= ((x >> k & bit) << t) if deposit else ((x >> t & bit) << k)
-        k += bit
-    return out
-
-
 @functools.cache
 def _support_plan(size: int, down: bool):
     """The support entries of a :func:`_transfer_rows` matrix, in fold order; built once, read-only.
@@ -165,42 +155,27 @@ def _support_plan(size: int, down: bool):
     false: ``p``) for ``p`` in ``[b, 2b)``.  A row lists its columns
     ascending.  Row ``A`` of level ``b`` sums row ``A ^ b``'s entries at
     ``X & ~b`` and ``X | b``: ``src[X] + src[X | b]`` downward and
-    ``src[X & ~b] + src[X]`` upward, as the dense fold added them.
-
-    An entry's index is its row's start plus the rank of its column among
-    the row's: the column's free bits (those of ``A``, upward those outside
-    ``A``) gathered to the low end.  A temporary holds at most one level,
-    ``3**(n-1)`` entries.
+    ``src[X & ~b] + src[X]`` upward, as the dense fold added them.  The
+    entries are read off the support mask row by row, and each source entry
+    is found by a binary search of ``flat``.
     """
-    n, full = size.bit_length() - 1, size - 1
-
-    def free(row):
-        return row if down else full & ~row
-
-    rows = np.arange(size, dtype=np.int32)
+    rows = np.arange(size)
     if down:
-        rows = full - rows
-    counts = np.ones_like(rows)
-    for t in range(n):
-        counts <<= free(rows) >> t & 1
-    ends = np.cumsum(counts, dtype=np.int32)
-    start = np.empty_like(rows)
-    start[rows] = ends - counts
-    flat = np.empty(ends[-1], dtype=np.int32)
-    flat[:size] = rows[0] * size + np.arange(size)
-    first, second = np.zeros((2, ends[-1]), dtype=np.int32)  # the seed row's stay unused
-    levels = [(1 << k, int(ends[(1 << k) - 1]), int(ends[(2 << k) - 1])) for k in range(n)]
+        rows = size - 1 - rows
+    off = _off_support(size)  # both directions read it: a superset's mask is a subset's transposed
+    p, col = np.nonzero(~(off if down else off.T)[rows])
+    row = rows[p]
+    flat = (row * size + col).astype(np.int32)
+    sorter = np.argsort(flat)
+    first, second = np.zeros((2, flat.size), dtype=np.int32)  # the seed row's stay unused
+    levels = [(b, *np.searchsorted(p, (b, 2 * b))) for b in (1 << np.arange(size.bit_length() - 1))]
     for b, lo, hi in levels:
-        row = np.repeat(rows[b : 2 * b], counts[b : 2 * b])
-        col = _bits_at(np.arange(lo, hi, dtype=np.int32) - start[row], free(row), n, deposit=True)
-        col |= 0 if down else row
-        flat[lo:hi] = row * size + col
-        row ^= b
-        for out, c in ((first, col & ~b), (second, col | b)):
-            out[lo:hi] = start[row] + _bits_at(c, free(row), n, deposit=False)
+        source = (row[lo:hi] ^ b) * size
+        for out, c in ((first, col[lo:hi] & ~b), (second, col[lo:hi] | b)):
+            out[lo:hi] = sorter[np.searchsorted(flat, source + c, sorter=sorter)]
     for array in (flat, first, second):
         array.flags.writeable = False  # before slicing: the slices inherit it
-    return flat, tuple((lo, hi, first[lo:hi], second[lo:hi]) for _, lo, hi in levels)
+    return flat, tuple((int(lo), int(hi), first[lo:hi], second[lo:hi]) for _, lo, hi in levels)
 
 
 def _support_values(values: np.ndarray, down: bool) -> tuple[np.ndarray, np.ndarray]:

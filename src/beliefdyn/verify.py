@@ -75,6 +75,8 @@ class CheckReport:
 
 
 def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (float, np.floating)):
@@ -85,19 +87,18 @@ def _jsonable(obj):
 
 
 def _witness(check: str, n: int, **data) -> str:
-    payload = {"check": check, "n": n}
-    payload.update({k: _jsonable(v) for k, v in data.items()})
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(_jsonable({"check": check, "n": n, **data}), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
 class _Fold:
     """Turns a check's instance stacks into its :class:`CheckReport`.
 
-    Each :meth:`add` folds one stack.  The report keeps the worst of all
-    deviations, counts the violating instances (not their failed
-    sub-identities), and carries the witness of the first violating one.
-    A NaN deviation is a violation and the worst deviation.
+    Each :meth:`add` folds one stack, and is the one place where a deviation
+    meets its tolerance.  The report keeps the worst of all deviations,
+    counts the violating instances (not their failed sub-identities), and
+    carries the witness of the first violating one.  A NaN deviation is a
+    violation and the worst deviation.
     """
 
     check: str
@@ -107,22 +108,25 @@ class _Fold:
     worst_deviation: float = 0.0
     witness: str | None = None
 
-    def add(self, violated, deviations=(), **witness) -> None:
-        """Fold one instance per entry of ``violated``.
+    def add(self, deviations: dict, search: bool = False, failed: bool = False, **witness) -> None:
+        """Fold one instance per entry of each ``(deviation, tolerance)`` that ``deviations`` names.
 
-        ``deviations`` holds an array per sub-identity; each ``witness`` field
-        holds an entry per instance, or is a function of the instance's index.
+        A violation is ``~(deviation <= tolerance)``, so NaN and ``inf`` fail; in a witness
+        ``search`` it is ``~(deviation > tolerance)``, kept out of the worst.  The witness holds
+        each ``witness`` field's entry and each deviation by name, or with ``failed`` the
+        violated ones in a ``failed`` map.
         """
-        violated = np.asarray(violated, dtype=bool)
-        devs = np.asarray(list(deviations), dtype=np.float64).reshape(-1, violated.size)
-        violated = violated | np.isnan(devs).any(axis=0)
+        bad = {name: ~(dev > tol) if search else ~(dev <= tol) for name, (dev, tol) in deviations.items()}
+        violated = np.any(list(bad.values()), axis=0)
         self.instances += violated.size
+        devs = [] if search else [dev for dev, _ in deviations.values()]
         self.worst_deviation = float(np.max(devs, initial=self.worst_deviation))
         self.violations += int(violated.sum())
         if self.witness is None and violated.any():
             i = int(violated.argmax())
-            row = {k: v(i) if callable(v) else v[i] for k, v in witness.items()}
-            self.witness = _witness(self.check, self.n, **row)
+            named = {name: dev[i] for name, (dev, _) in deviations.items() if not failed or bad[name][i]}
+            row = {k: v[i] for k, v in witness.items()}
+            self.witness = _witness(self.check, self.n, **row, **({"failed": named} if failed else named))
 
     def report(self) -> CheckReport:
         return CheckReport(**vars(self))
@@ -306,7 +310,7 @@ def check_conditioning_least_committed(frame: Frame, samples: int = 500, seed=0)
         pl_alt = _pl(_apply(m, s))
         outside = pl_alt[np.arange(rows.size), frame.full ^ c]
         dev = np.maximum(outside, (pl_alt - _pl(_condition(m, c))).max(axis=1))
-        fold.add(~(dev <= TOL), (dev,), m=m, C=c, S=s, deviation=dev)
+        fold.add({"deviation": (dev, TOL)}, m=m, C=c, S=s)
     return fold.report()
 
 
@@ -320,12 +324,10 @@ def check_conditioning_idempotent(frame: Frame, samples: int | None = None, seed
     size = frame.size
     # row C of the identity is the categorical mass on C, whose Dempsterian matrix conditions on C
     matrices = _transfer_rows(np.eye(size), np.bitwise_and)
-    dev = _worst(matrices @ matrices - matrices)
-    fold.add(~(dev <= 0.0), (dev,), C=np.arange(size), deviation=dev)
+    fold.add({"deviation": (_worst(matrices @ matrices - matrices), 0.0)}, C=np.arange(size))
     for pairs in _blocks(size * size, size * size):
         c1, c2 = np.divmod(pairs, size)
-        dev = _worst(matrices[c1] @ matrices[c2] - matrices[c1 & c2])
-        fold.add(~(dev <= 0.0), (dev,), C1=c1, C2=c2, deviation=dev)
+        fold.add({"deviation": (_worst(matrices[c1] @ matrices[c2] - matrices[c1 & c2]), 0.0)}, C1=c1, C2=c2)
     return fold.report()
 
 
@@ -352,8 +354,7 @@ def check_commuting_implies_dempsterian(frame: Frame, samples: int = 100, seed=0
 
     for rows in _blocks(samples, size**3):
         s = _transfer_rows(_random_masses(size, rows.size, rng), np.bitwise_and)[:, None]
-        dev = commutator(s)
-        fold.add(~(dev <= TOL), (dev,), S=s[:, 0], deviation=dev)
+        fold.add({"deviation": (commutator(s), TOL)}, S=s[:, 0])
     if 2 <= frame.n <= 3:
         # violations only: a non-Dempsterian matrix far from commuting is a pass
         for rows in _blocks(samples, size**3):
@@ -364,8 +365,7 @@ def check_commuting_implies_dempsterian(frame: Frame, samples: int = 100, seed=0
                 if not redraw.any():
                     break
                 s[redraw] = _specializations(support[redraw], rng)
-            best = commutator(s[:, None])
-            fold.add(~(best > TOL), S=s, best_witness_deviation=best)
+            fold.add({"best_witness_deviation": (commutator(s[:, None]), TOL)}, search=True, S=s)
     return fold.report()
 
 
@@ -378,7 +378,7 @@ def check_dempsterian_commutation(frame: Frame, samples: int = 200, seed=0) -> C
         s1, s2, s12 = (_transfer_rows(m, np.bitwise_and) for m in (m1, m2, _conjunctive(m1, m2)))
         product = s1 @ s2
         dev = np.maximum(_worst(product - s2 @ s1), _worst(product - s12))
-        fold.add(~(dev <= TOL), (dev,), m1=m1, m2=m2, deviation=dev)
+        fold.add({"deviation": (dev, TOL)}, m1=m1, m2=m2)
     return fold.report()
 
 
@@ -397,10 +397,10 @@ def check_combination_least_committed(frame: Frame, samples: int = 300, seed=0) 
         s = _dominated(t, _pl(m0), rng)
         m = _random_masses(size, rows.size, rng)
         best = _apply(m, _transfer_rows(m0, np.bitwise_and))
-        eq_dev = _worst(best - _conjunctive(m, m0))
-        dom_dev = (_pl(_apply(m, s)) - _pl(best)).max(axis=1)
-        fold.add(~(eq_dev <= TOL_EXACT) | ~(dom_dev <= TOL), (eq_dev, dom_dev), m0=m0, m=m, S=s,
-                 equality_deviation=eq_dev, domination_deviation=dom_dev)
+        fold.add({
+            "equality_deviation": (_worst(best - _conjunctive(m, m0)), TOL_EXACT),
+            "domination_deviation": ((_pl(_apply(m, s)) - _pl(best)).max(axis=1), TOL),
+        }, m0=m0, m=m, S=s)
     return fold.report()
 
 
@@ -421,14 +421,11 @@ def check_eigen_structure(frame: Frame, samples: int = 200, seed=0, inject_fault
         if inject_fault and rows[0] == 0:
             values[0, -1, 0] += 1e-3
         q = lattice.zeta_supersets(m)
-        diag_dev = _worst(np.diagonal(values, axis1=1, axis2=2) - q)
-        recon_dev = _worst(values - (t * q[:, None, :]) @ t_inv)
-        row_dev = _worst(t_inv @ values - q[:, :, None] * t_inv)
-        fold.add(
-            ~(diag_dev <= TOL_EXACT) | ~(recon_dev <= TOL) | ~(row_dev <= TOL),
-            (diag_dev, recon_dev, row_dev), m=m, diagonal_deviation=diag_dev,
-            reconstruction_deviation=recon_dev, eigenrow_deviation=row_dev,
-        )
+        fold.add({
+            "diagonal_deviation": (_worst(np.diagonal(values, axis1=1, axis2=2) - q), TOL_EXACT),
+            "reconstruction_deviation": (_worst(values - (t * q[:, None, :]) @ t_inv), TOL),
+            "eigenrow_deviation": (_worst(t_inv @ values - q[:, :, None] * t_inv), TOL),
+        }, m=m)
     return fold.report()
 
 
@@ -452,31 +449,31 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
         m0, m1, m2 = (_random_masses(size, k, rng) for _ in range(3))
         c, c2 = rng.integers(size, size=(2, k))
         at = np.arange(k)[:, None]
-        devs: dict[str, np.ndarray] = {}
+        devs = {}
 
         # conditioning: transfer vs matrix vs closed belief form, and pl outside C; the
         # expansion order is taken here too, so its two matrices are freed before the double sums
         cond = _condition(m0, c)
         s_c, s_m1 = (_transfer_rows(v, np.bitwise_and) for v in (np.eye(size)[c], m1))
-        devs["cond-matrix"] = _worst(cond - _apply(m0, s_c))
+        devs["cond-matrix"] = _worst(cond - _apply(m0, s_c)), TOL
         expansion = _worst(_apply(_apply(m0, s_m1), s_c) - _apply(_apply(m0, s_c), s_m1))
         del s_c, s_m1
         bel0 = _bel(m0)
         comp = (full ^ c)[:, None]
-        devs["cond-bel-form"] = _worst(_bel(cond) - (bel0[at, idx | comp] - bel0[at, comp]))
-        devs["cond-pl-outside"] = _pl(cond)[at, comp][:, 0]
+        devs["cond-bel-form"] = _worst(_bel(cond) - (bel0[at, idx | comp] - bel0[at, comp])), TOL
+        devs["cond-pl-outside"] = _pl(cond)[at, comp][:, 0], TOL
 
         # conjunctive rule: fast path vs double sum, q-product, algebra
         m01 = _conjunctive(m0, m1)
-        devs["conj-double-sum"] = _worst(m01 - lattice._double_sum(m0, idx, m1, idx, np.bitwise_and))
-        devs["conj-q-product"] = _worst(q(m01) - q(m0) * q(m1))
-        devs["conj-commutative"] = _worst(m01 - _conjunctive(m1, m0))
-        devs["conj-associative"] = _worst(_conjunctive(m01, m2) - _conjunctive(m0, _conjunctive(m1, m2)))
-        devs["conj-vacuous-neutral"] = _worst(_conjunctive(m0, vac) - m0)
+        devs["conj-double-sum"] = _worst(m01 - lattice._double_sum(m0, idx, m1, idx, np.bitwise_and)), TOL
+        devs["conj-q-product"] = _worst(q(m01) - q(m0) * q(m1)), TOL
+        devs["conj-commutative"] = _worst(m01 - _conjunctive(m1, m0)), TOL
+        devs["conj-associative"] = _worst(_conjunctive(m01, m2) - _conjunctive(m0, _conjunctive(m1, m2))), TOL
+        devs["conj-vacuous-neutral"] = _worst(_conjunctive(m0, vac) - m0), TOL
 
         # conditioning composes by intersection; expansions commute
-        devs["cond-compose"] = _worst(_condition(cond, c2) - _condition(m0, c & c2))
-        devs["expansion-order"] = expansion
+        devs["cond-compose"] = _worst(_condition(cond, c2) - _condition(m0, c & c2)), TOL
+        devs["expansion-order"] = expansion, TOL
 
         # retraction round trip (evidence kept invertible by vacuous mixing); a
         # row public retract would reject is a violation, never clipped to a pass
@@ -484,28 +481,21 @@ def check_dynamics_invariants(frame: Frame, samples: int = 300, seed=0) -> Check
         q_safe = q(safe)
         rest = _retract(_conjunctive(m0, safe), q_safe)
         rejected = (q_safe.min(axis=1) <= DEFAULT_TOL) | (rest.min(axis=1) < -DEFAULT_TOL)
-        devs["retract-round-trip"] = np.where(rejected, np.inf, _worst(np.clip(rest, 0.0, None) - m0))
+        devs["retract-round-trip"] = np.where(rejected, np.inf, _worst(rest.clip(0.0) - m0)), TOL_RETRACT
 
         # disjunctive rule: fast path vs double sum, b-product, matrix path
         m_or = _disjunctive(m0, m1)
-        devs["disj-double-sum"] = _worst(m_or - lattice._double_sum(m0, idx, m1, idx, np.bitwise_or))
-        devs["disj-b-product"] = _worst(b(m_or) - b(m0) * b(m1))
-        devs["disj-matrix"] = _worst(_apply(m0, _transfer_rows(m1, np.bitwise_or)) - m_or)
+        devs["disj-double-sum"] = _worst(m_or - lattice._double_sum(m0, idx, m1, idx, np.bitwise_or)), TOL
+        devs["disj-b-product"] = _worst(b(m_or) - b(m0) * b(m1)), TOL
+        devs["disj-matrix"] = _worst(_apply(m0, _transfer_rows(m1, np.bitwise_or)) - m_or), TOL
 
         # enlargement: conditioning is invariant under choices inside the set
         a, x, y = rng.integers(size, size=(3, k))
         x &= full ^ a
         y &= a
-        enlarged = _enlarge(m0, a)
-        devs["enlarge-invariance"] = _worst(_condition(enlarged, x | y) - _enlarge(_condition(enlarged, x), y))
-
-        tol = {name: TOL_RETRACT if name == "retract-round-trip" else TOL for name in devs}
-        failed = {name: ~(dev <= tol[name]) for name, dev in devs.items()}
-        fold.add(
-            np.any(list(failed.values()), axis=0), devs.values(), m0=m0, m1=m1, m2=m2,
-            C=c, C2=c2, A=a, X=x, Y=y,
-            failed=lambda i: {name: float(devs[name][i]) for name in devs if failed[name][i]},
-        )
+        m_a = _enlarge(m0, a)
+        devs["enlarge-invariance"] = _worst(_condition(m_a, x | y) - _enlarge(_condition(m_a, x), y)), TOL
+        fold.add(devs, failed=True, m0=m0, m1=m1, m2=m2, C=c, C2=c2, A=a, X=x, Y=y)
     return fold.report()
 
 

@@ -2,14 +2,18 @@
 
 Everything here is deliberately quadratic (or worse) enumeration straight
 from the defining formulas, kept free of the library's fast transforms so
-the two routes stay independent.  The one exception is
-:func:`reference_dominated`, which pins a sampler's draws and so reuses the
-library's plausibility route on purpose.
+the two routes stay independent.  Two exceptions reuse library routes on
+purpose: :func:`reference_dominated` pins a sampler's draws through the
+plausibility route, and :func:`compare_bel_form` holds ``compare``'s one
+transform of a difference against one transform per state.
 """
 
 import json
 
 import numpy as np
+
+from beliefdyn.commitment import _classify
+from beliefdyn.lattice import DEFAULT_TOL, require_same_frame, zeta_subsets
 
 
 def is_subset(a: int, b: int) -> bool:
@@ -261,3 +265,12 @@ def reference_document(labels, values, kind=None):
     else:
         doc = {"frame": list(labels), "kind": kind, "values": entries}
     return json.dumps(doc, indent=2) + "\n"
+
+
+def compare_bel_form(m1, m2, tol=DEFAULT_TOL):
+    """``commitment.compare``'s ordering from ``b = bel + m(empty)``, larger-is-more-committed."""
+    require_same_frame(m1, m2)
+    b1 = zeta_subsets(m1.values)
+    b2 = zeta_subsets(m2.values)
+    # b1 >= b2 everywhere  <=>  pl1 <= pl2 everywhere (total mass is one)
+    return _classify(b2 - b1, tol)

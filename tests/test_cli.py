@@ -951,6 +951,29 @@ def test_matrix_text_on_stdout_under_an_ascii_locale(tmp_path):
     assert proc.stdout.decode("ascii").splitlines()[0] == "# dempsterian matrix on frame \\u00e9|b"
 
 
+def test_label_arguments_are_utf_8_under_an_ascii_locale(tmp_path):
+    """--on, --conditioning and --frame are decoded from their bytes as UTF-8, as documents are."""
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"frame": ["\u00e9", "b"], "masses": {"\u00e9": 0.5, "\u00e9|b": 0.5}}
+    ))
+    env = {key: value for key, value in os.environ.items() if not key.startswith(("LC_", "PYTHONIO"))}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    e = "\u00e9".encode("utf-8")  # bytes, so the test's own locale need not encode them
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "beliefdyn.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, timeout=120)
+
+    proc = run("condition", "m.json", "--on", e)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["masses"] == {"\u00e9": 1.0}
+    proc = run("matrix", "--kind", "specialization", "--frame", e + b",b", "--conditioning", e)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines()[0] == b"# conditioning-on-\\u00e9 specialization matrix on frame \\u00e9|b"
+    proc = run("enlarge", "m.json", "--on", b"\xff")
+    assert proc.returncode == 2 and b"argument --on: not UTF-8: '\\udcff'" in proc.stderr
+
+
 def test_matrix_header_escapes_kind_and_labels():
     frame = Frame(("a\nb", 'say "x"', "\u00e9"))
     text = format_matrix(frame, np.eye(8), "conditioning-on-\u00e9 specialization")

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from beliefdyn.belief import MassFunction, _pl, least_committed_from_disjoint_constraints, vacuous
-from beliefdyn.commitment import Ordering, _classify, compare, compare_bel_form, is_at_least_as_committed
+from beliefdyn.commitment import Ordering, _classify, compare, is_at_least_as_committed
 from beliefdyn.errors import FrameMismatchError
 from beliefdyn.lattice import DEFAULT_TOL, default_frame
 from beliefdyn.specialization import apply
 from beliefdyn.verify import random_mass, random_specialization
+from oracles import compare_bel_form
 
 F2 = default_frame(2)
 F3 = default_frame(3)

@@ -367,3 +367,80 @@ def test_invalid_sampled_public_matrices_raise(monkeypatch):
         verify.sigma_star_specialization(frame, 0b11, rng)
     with pytest.raises(InvalidSpecializationError, match="specialization invariants"):
         verify.dominated_specialization(frame, verify.random_mass(frame, rng), rng)
+
+
+F2 = default_frame(2)
+
+
+def identity_draws(support, rng):
+    """Sampled specializations that are all the identity, a Dempsterian matrix that commutes."""
+    return np.broadcast_to(np.eye(support.shape[-1]), support.shape).copy()
+
+
+# one planted fault per check (the contrapositive of commuting-implies-dempsterian apart), run at
+# n=2, and the exact witness text of its first violation
+WITNESS_TEXTS = {
+    "conditioning-least-committed": (
+        "_condition", lambda real: lambda a, c: real(a, np.asarray(c) & ~1),
+        lambda: verify.check_conditioning_least_committed(F2, samples=10, seed=1),
+        '{"C":1,"S":[[1.0,0.0,0.0,0.0],[0.797783842688,0.202216157312,0.0,0.0],[1.0,0.0,0.0,0.0],'
+        '[0.428357545142,0.571642454858,0.0,0.0]],"check":"conditioning-least-committed",'
+        '"deviation":0.276398849625,"m":[0.32996274687,0.28861748963,0.0,0.3814197635],"n":2}',
+    ),
+    "conditioning-idempotent": (
+        "_transfer_rows", lambda real: lambda v, op: 0.999 * real(v, op),
+        lambda: verify.check_conditioning_idempotent(F2),
+        '{"C":0,"check":"conditioning-idempotent","deviation":0.000999,"n":2}',
+    ),
+    "commuting-implies-dempsterian": (
+        "_transfer_rows", leak_top_row,
+        lambda: verify.check_commuting_implies_dempsterian(F2, samples=5, seed=2),
+        '{"S":[[1.0,0.0,0.0,0.0],[0.512806129979,0.487193870021,0.0,0.0],[1.0,0.0,0.0,0.0],'
+        '[0.513806129979,0.487193870021,0.0,-0.001]],"check":"commuting-implies-dempsterian",'
+        '"deviation":0.001,"n":2}',
+    ),
+    "commuting-implies-dempsterian-contrapositive": (
+        "_specializations", lambda real: identity_draws,
+        lambda: verify.check_commuting_implies_dempsterian(F2, samples=5, seed=2),
+        '{"S":[[1.0,0.0,0.0,0.0],[0.0,1.0,0.0,0.0],[0.0,0.0,1.0,0.0],[0.0,0.0,0.0,1.0]],'
+        '"best_witness_deviation":0.0,"check":"commuting-implies-dempsterian","n":2}',
+    ),
+    "dempsterian-commutation": (
+        "_conjunctive", mix_vacuous,
+        lambda: verify.check_dempsterian_commutation(F2, samples=5, seed=3),
+        '{"check":"dempsterian-commutation","deviation":0.001,"m1":[0.0,0.0,1.0,0.0],'
+        '"m2":[0.470317536799,0.236859485066,0.0,0.292822978134],"n":2}',
+    ),
+    "combination-least-committed": (
+        "_conjunctive", mix_vacuous,
+        lambda: verify.check_combination_least_committed(F2, samples=5, seed=4),
+        '{"S":[[1.0,0.0,0.0,0.0],[1.0,0.0,0.0,0.0],[0.389950881087,0.0,0.610049118913,0.0],'
+        '[1.0,0.0,0.0,0.0]],"check":"combination-least-committed","domination_deviation":0.0,'
+        '"equality_deviation":0.001,"m":[0.0,0.601882983408,0.270565534187,0.127551482405],'
+        '"m0":[0.0,0.0,1.0,0.0],"n":2}',
+    ),
+    "eigenstructure": (
+        "_transfer_rows", leak_top_row,
+        lambda: verify.check_eigen_structure(F2, samples=5, seed=5),
+        '{"check":"eigenstructure","diagonal_deviation":0.001,"eigenrow_deviation":0.001,'
+        '"m":[0.22368957587,0.220319422788,0.555991001342,0.0],"n":2,"reconstruction_deviation":0.001}',
+    ),
+    "dynamics-invariants": (
+        "_disjunctive", mix_vacuous,
+        lambda: verify.check_dynamics_invariants(F2, samples=10, seed=6),
+        '{"A":3,"C":2,"C2":3,"X":0,"Y":3,"check":"dynamics-invariants","failed":{'
+        '"disj-b-product":0.001,"disj-double-sum":0.001,"disj-matrix":0.001},"m0":[1.0,0.0,0.0,0.0],"m1":[1.0,0.0,0.0,0.0],'
+        '"m2":[0.690684661292,0.0,0.0,0.309315338708],"n":2}',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WITNESS_TEXTS)
+def test_planted_fault_witness_text(monkeypatch, case):
+    # the verdict rule, the names of the deviations and the rounding of every witness field, pinned
+    name, fault, run, text = WITNESS_TEXTS[case]
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, fault(real))
+    report = run()
+    failed_witness(report)
+    assert report.witness == text

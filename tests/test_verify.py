@@ -356,33 +356,45 @@ class TestRunAll:
 class TestFold:
     def test_report_rules(self):
         fold = _Fold("x", 2)
-        fold.add([False], ([0.5],), k=[0])
+        # a deviation at its tolerance passes
+        fold.add({"d": (np.array([0.5, 1.0]), 1.0)}, k=[0, 0])
         # two failed sub-identities are one violating instance
-        fold.add([True, True], ([2.0, 4.0], [3.0, 1.0]), k=[1, 2])
-        # a violation without deviations, as in a witness search, leaves the worst alone
-        fold.add([True], k=[3])
-        assert fold.report() == CheckReport("x", 2, 4, 3, 4.0, _witness("x", 2, k=1))
+        fold.add({"d": (np.array([2.0, 4.0]), 1.0), "e": (np.array([3.0, 1.0]), 1.0)}, k=[1, 2])
+        # a witness search fails at or below its tolerance, and leaves the worst alone
+        fold.add({"best": (np.array([9.0, 1.0]), 1.0)}, search=True, k=[3, 4])
+        assert fold.report() == CheckReport("x", 2, 6, 3, 4.0, _witness("x", 2, k=1, d=2.0, e=3.0))
 
     def test_first_violating_row_of_a_stack_is_the_witness(self):
         fold = _Fold("x", 1)
-        fold.add([False, False, True, True], ([0.1, 0.2, 0.9, 0.3],), k=np.arange(4),
-                 m=np.eye(4), lazy=lambda i: {"row": i})
-        assert fold.report() == CheckReport(
-            "x", 1, 4, 2, 0.9, _witness("x", 1, k=2, m=np.eye(4)[2], lazy={"row": 2})
-        )
+        fold.add({"d": (np.array([0.1, 0.2, 0.9, 0.3]), 0.25)}, k=np.arange(4), m=np.eye(4))
+        assert fold.report() == CheckReport("x", 1, 4, 2, 0.9, _witness("x", 1, k=2, m=np.eye(4)[2], d=0.9))
+
+    def test_failed_map_holds_the_violated_sub_identities_only(self):
+        fold = _Fold("x", 1)
+        a, b, c = np.array([0.5, 0.1]), np.array([0.1, 0.1]), np.array([3.0, 0.0])
+        fold.add({"a": (a, 0.2), "b": (b, 0.2), "c": (c, 1.0)}, failed=True, k=[0, 1])
+        witness = _witness("x", 1, k=0, failed={"a": 0.5, "c": 3.0})
+        assert fold.report() == CheckReport("x", 1, 2, 1, 3.0, witness)
 
     @pytest.mark.parametrize("first", [0.5, np.nan])
     def test_nan_deviation_is_a_violation_and_the_worst(self, first):
-        # a NaN fails every ``dev > tol`` test, so the violation flag alone would pass it
+        # a NaN passes every ``dev > tol`` test, so only ``~(dev <= tol)`` counts it
         fold = _Fold("x", 1)
-        fold.add([False], ([first],), k=[0])
-        nan = np.nan
-        fold.add(np.array([nan, 0.1]) > 1.0, ([nan, 0.1],), k=[1, 2])
-        fold.add([False], ([0.7],), k=[3])
+        fold.add({"d": (np.array([first]), 1.0)}, k=[0])
+        fold.add({"d": (np.array([np.nan, 0.1]), 1.0)}, k=[1, 2])
+        fold.add({"d": (np.array([0.7]), 1.0)}, k=[3])
         report = fold.report()
         assert report.instances == 4 and report.violations == 1 + int(np.isnan(first))
         assert np.isnan(report.worst_deviation) and not report.passed
         assert json.loads(report.witness)["k"] == (0 if np.isnan(first) else 1)
+
+    def test_inf_and_a_nan_search_are_violations(self):
+        fold = _Fold("x", 1)
+        fold.add({"d": (np.array([0.0, np.inf]), 1.0)}, k=[0, 1])
+        fold.add({"best": (np.array([np.nan, 2.0]), 1.0)}, search=True, k=[2, 3])
+        report = fold.report()
+        assert (report.instances, report.violations, report.worst_deviation) == (4, 2, np.inf)
+        assert report.witness == _witness("x", 1, k=1, d=np.inf)
 
 
 class TestFaultInjection:
@@ -408,6 +420,10 @@ class TestFaultInjection:
         # witnesses round to 12 significant digits but, unlike documents, zero nothing
         text = _witness("x", 1, d=2.220446049250313e-16, m=np.array([1 / 3, 0.0]))
         assert text == '{"check":"x","d":2.22044604925e-16,"m":[0.333333333333,0.0],"n":1}'
+
+    def test_witness_rounds_the_numbers_of_a_map(self):
+        # dynamics-invariants' ``failed`` map is rounded as every other witness number
+        assert _witness("x", 1, failed={"a": 0.1 + 0.2}) == '{"check":"x","failed":{"a":0.3},"n":1}'
 
 
 class TestReportFormat:
