@@ -151,13 +151,7 @@ def _cmd_check(args) -> int:
 
     sizes = _parse_int_list(args.n, "--n")
     checks = None if args.theorems is None else args.theorems.split(",")
-    reports = run_all(
-        sizes=sizes,
-        samples=args.samples,
-        seed=args.seed,
-        checks=checks,
-        inject_fault=args.inject_fault,
-    )
+    reports = run_all(sizes=sizes, samples=args.samples, seed=args.seed, checks=checks)
     header = f"belief-dynamics checks: sizes={sizes} seed={args.seed} samples={args.samples or 'default'}"
     exhaustive = [name for name in EXHAUSTIVE_CHECKS if any(r.check == name for r in reports)]
     if args.samples is not None and exhaustive:
@@ -234,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="1,2,3,4", metavar="SIZES")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_check)
 

@@ -13,12 +13,11 @@ Generalization matrices are the upward duals (mass flows to supersets);
 de-specialization matrices are the linear inverses and realize retraction.
 A specialization (generalization) matrix of a mass function is nonzero on
 at most ``3**n`` of its ``4**n`` entries, the pairs ``B subset of A`` (``B
-superset of A``), and every builder computes only those.  A cached support
-plan lists them in the order of one fold per frame element: a row with an
-element missing is the row with it present, conditioned (or, upward,
-enlarged) once more.  :func:`_transfer_rows` runs that fold on the support
-entries and scatters them into zeros; the Dempsterian test and the
-eigenstructure compare a matrix with the fold on the support entries alone.
+superset of A``), and every builder computes only those.  Entry (A, B) sums
+``m(X)`` over the ``X`` with ``X & A = B`` (``X | A = B``), which holds one
+frame element at a time, so the entries are built in one pass per element.
+:func:`_transfer_rows` scatters them into zeros; the Dempsterian test and
+the eigenstructure compare a matrix with them on the support alone.
 
 Each matrix is built once.  The matrix classes adopt a read-only float64
 array that owns its memory, which is how every builder hands over its
@@ -136,63 +135,50 @@ class DespecializationMatrix:
 @functools.cache
 def _off_support(size: int, upward: bool = False) -> np.ndarray:
     """True at (A, B) iff B is not a subset (``upward``: a superset) of A; built once, read-only."""
-    row, col = np.arange(size)[:, None], np.arange(size)
+    index = np.arange(size, dtype=np.int16)  # holds a subset of up to 15 elements
+    row, col = index[:, None], index
     out = ((row & ~col) if upward else (col & ~row)) != 0
     out.flags.writeable = False
     return out
 
 
 @functools.cache
-def _support_plan(size: int, down: bool):
-    """The support entries of a :func:`_transfer_rows` matrix, in fold order; built once, read-only.
+def _support_positions(size: int, upward: bool) -> np.ndarray:
+    """Position ``row * size + col`` of each entry of :func:`_support_values`; built once, read-only.
 
-    Returns ``flat``, the position ``row * size + col`` of each of the
-    ``3**n`` entries with ``col`` a subset (``down`` false: a superset) of
-    ``row``, and one ``(lo, hi, first, second)`` per fold level ``b``: the
-    entries ``lo:hi`` are the sums of the entries at ``first`` and
-    ``second``.  The first ``size`` entries are the seed row (full, ``down``
-    false: empty); then come level ``b``'s rows, ``size - 1 - p`` (``down``
-    false: ``p``) for ``p`` in ``[b, 2b)``.  A row lists its columns
-    ascending.  Row ``A`` of level ``b`` sums row ``A ^ b``'s entries at
-    ``X & ~b`` and ``X | b``: ``src[X] + src[X | b]`` downward and
-    ``src[X & ~b] + src[X]`` upward, as the dense fold added them.  The
-    entries are read off the support mask row by row, and each source entry
-    is found by a binary search of ``flat``.
+    Element ``i``'s three digits put ``(size + 1, size, 0) * 2**i``
+    (``upward``: ``(size + 1, 1, 0) * 2**i``) into the position.
     """
-    rows = np.arange(size)
-    if down:
-        rows = size - 1 - rows
-    off = _off_support(size)  # both directions read it: a superset's mask is a subset's transposed
-    p, col = np.nonzero(~(off if down else off.T)[rows])
-    row = rows[p]
-    flat = (row * size + col).astype(np.int32)
-    sorter = np.argsort(flat)
-    first, second = np.zeros((2, flat.size), dtype=np.int32)  # the seed row's stay unused
-    levels = [(b, *np.searchsorted(p, (b, 2 * b))) for b in (1 << np.arange(size.bit_length() - 1))]
-    for b, lo, hi in levels:
-        source = (row[lo:hi] ^ b) * size
-        for out, c in ((first, col[lo:hi] & ~b), (second, col[lo:hi] | b)):
-            out[lo:hi] = sorter[np.searchsorted(flat, source + c, sorter=sorter)]
-    for array in (flat, first, second):
-        array.flags.writeable = False  # before slicing: the slices inherit it
-    return flat, tuple((int(lo), int(hi), first[lo:hi], second[lo:hi]) for _, lo, hi in levels)
+    out, b = np.zeros(1, dtype=np.int32), 1
+    while b < size:
+        digits = np.array([size + 1, 1 if upward else size, 0], dtype=np.int32) * b
+        out, b = (digits[:, None] + out).reshape(-1), 2 * b
+    out.flags.writeable = False
+    return out
 
 
-def _support_values(values: np.ndarray, down: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The support entries of ``_transfer_rows(values, op)`` as a ``(..., 3**n)`` stack, and their positions.
+def _support_values(values: np.ndarray, upward: bool) -> np.ndarray:
+    """The ``3**n`` support entries of the :func:`_transfer_rows` matrices of a ``(..., N)`` stack.
 
-    The seed row is ``values + 0.0``; each level then takes one sum per entry
-    through the plan, in the plan's order.  Returns the entries and the
-    plan's ``flat`` positions.
+    One pass per frame element, lowest first, over ``values + 0.0``: each
+    views the entries as pairs, the element absent from ``X`` and present,
+    and puts three entries in a pair's place, one per digit.  Downward the
+    digits of (row ``A``, column ``B``) are: the element in ``B`` (the
+    present entry), in ``A - B`` (the absent one), outside ``A`` (absent +
+    present); upward: in ``A`` (absent + present), in ``B - A`` (present),
+    outside ``B`` (absent).  :func:`_support_positions` places them.
     """
-    size = values.shape[-1]
-    flat, plan = _support_plan(size, down)
-    out = np.empty((*values.shape[:-1], flat.size))
-    np.add(values, 0.0, out=out[..., :size])
+    lead, w = values.shape[:-1], 1
+    copied, summed = (slice(1, 3), 0) if upward else (slice(0, 2), 2)
+    out = values + 0.0
     with np.errstate(invalid="ignore"):  # inf + -inf gives NaN, as in the scatter
-        for lo, hi, first, second in plan:
-            np.add(out[..., first], out[..., second], out=out[..., lo:hi])
-    return out, flat
+        for _ in range(values.shape[-1].bit_length() - 1):
+            pairs = out.reshape(*lead, -1, 2, w)
+            out = np.empty((*pairs.shape[:-2], 3, w))
+            out[..., copied, :] = pairs[..., ::-1, :]
+            np.add(pairs[..., 0, :], pairs[..., 1, :], out=out[..., summed, :])
+            out, w = out.reshape(*lead, -1), 3 * w
+    return out
 
 
 def _transfer_rows(values: np.ndarray, op) -> np.ndarray:
@@ -202,25 +188,21 @@ def _transfer_rows(values: np.ndarray, op) -> np.ndarray:
     a fresh ``(..., N, N)`` array.  ``op`` is ``np.bitwise_and`` (row ``A`` is
     ``values`` conditioned on ``A``) or ``np.bitwise_or`` (row ``A`` is
     ``values`` enlarged by ``A``).  Only the ``3**n`` support entries are
-    computed, by :func:`_support_values`, and scattered into zeros.  For
-    ``np.bitwise_and`` the full row is ``values + 0.0``; then for
-    ``b = 1, 2, .., N/2`` each row ``A`` in ``[N-2b, N-b)`` is row ``A | b``
-    with its entry at ``X | b`` added onto ``X``.  For ``np.bitwise_or`` the
-    mirror: row empty is ``values + 0.0``, and each row ``A | b`` in
-    ``[b, 2b)`` is row ``A`` with its entry at ``X`` added onto ``X | b``.
+    computed, by :func:`_support_values`, and scattered into zeros.
 
-    So an entry sums its inputs in fold order, not in increasing ``X`` order
-    as :func:`lattice._transfer` does: a sum of three or more nonzero inputs
-    can differ from that scatter in the last bit, and 0/1 rows stay exact.
-    The seed row is ``values + 0.0`` and every other entry starts at +0.0, so
-    no zero of the output is -0.0, and an entry off the support is +0.0 even
-    where ``values`` is not finite.  A matrix of a stack goes through the same
-    additions as on its own, so it is bit for bit the matrix on its own.
+    So an entry sums its inputs one frame element at a time, the lowest
+    innermost, not in increasing ``X`` order as :func:`lattice._transfer`
+    does: a sum of three or more nonzero inputs can differ from that scatter
+    in the last bit, and 0/1 rows stay exact.  Every entry is ``values +
+    0.0`` or a sum, so no zero of the output is -0.0, and an entry off the
+    support is +0.0 even where ``values`` is not finite.  A matrix of a stack
+    goes through the same additions as on its own, so it is bit for bit the
+    matrix on its own.
     """
-    size = values.shape[-1]
-    entries, flat = _support_values(values, op is np.bitwise_and)
+    size, upward = values.shape[-1], op is not np.bitwise_and
     out = np.zeros((*values.shape[:-1], size, size))
-    out.reshape(*values.shape[:-1], -1)[..., flat] = entries
+    flat = _support_positions(size, upward)
+    out.reshape(*values.shape[:-1], -1)[..., flat] = _support_values(values, upward)
     return out
 
 
@@ -289,8 +271,9 @@ def _is_dempsterian(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     at most ``tol`` is :func:`_valid`'s one-sided test.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives NaN, huge entries inf; both fail
-        expected, flat = _support_values(v[..., -1, :], down=True)
-        gap = np.subtract(v.reshape(*v.shape[:-2], -1)[..., flat], expected, out=expected)
+        expected = _support_values(v[..., -1, :], upward=False)
+        on = v.reshape(*v.shape[:-2], -1)[..., _support_positions(v.shape[-1], False)]
+        gap = np.subtract(on, expected, out=expected)
         gap = np.abs(gap, out=gap).max(axis=-1)
     return _valid(v, tol) & (gap <= tol)
 
@@ -434,7 +417,8 @@ def eigen_structure(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> EigenS
     taken from one ``abs`` copy with the support zeroed.
     """
     q = _dempsterian_diagonal(s, tol)
-    expected, flat = _support_values(lattice.mobius_supersets(q), down=True)
+    expected = _support_values(lattice.mobius_supersets(q), upward=False)
+    flat = _support_positions(s.frame.size, False)
     on = np.subtract(s.values.reshape(-1)[flat], expected, out=expected)
     off = np.abs(s.values).reshape(-1)
     off[flat] = 0.0

@@ -4,9 +4,10 @@ Writes mass documents with every mass non-zero through
 ``documents.format_mass_document``: one at the 20-element cap of the
 vectors, one at the 10-element cap of the matrices.  Then runs ``beliefdyn
 combine`` (the first document with itself) and ``beliefdyn convert --to
-pl`` on the first, and ``beliefdyn matrix --kind despecialization`` on the
-second, each in a child process.  Prints each child's peak resident size
-(``ru_maxrss``) and exits 1 if a child fails or peaks above its limit.
+pl`` on the first, and ``beliefdyn matrix`` of ``--kind despecialization``
+and of ``--kind disjunctive`` on the second, each in a child process.
+Prints each child's peak resident size (``ru_maxrss``) and exits 1 if a
+child fails or peaks above its limit.
 
 A child's ``ru_maxrss`` counts the resident size of the process that
 spawned it, so this script imports nothing heavy and writes the document
@@ -22,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 LIMIT_MB = 300  # the commands on the 20-element document
-MATRIX_LIMIT_MB = 100  # the matrix command on the 10-element document
+MATRIX_LIMIT_MB = 100  # the matrix commands on the 10-element document
 
 WRITE = """
 import sys
@@ -61,12 +62,14 @@ def main() -> int:
             (["combine", docs[20], docs[20]], LIMIT_MB),
             (["convert", docs[20], "--to", "pl"], LIMIT_MB),
             (["matrix", docs[10], "--kind", "despecialization"], MATRIX_LIMIT_MB),
+            (["matrix", docs[10], "--kind", "disjunctive"], MATRIX_LIMIT_MB),
         ):
             out = str(Path(tmp, "out.txt"))
             code, peak = run([sys.executable, "-m", "beliefdyn.cli", *argv, "-o", out])
             ok = code == 0 and peak <= limit
             failed |= not ok
-            print(f"beliefdyn {argv[0]}: exit {code}, peak {peak:.1f} MB "
+            command = " ".join(arg for arg in argv if not arg.startswith(tmp))
+            print(f"beliefdyn {command}: exit {code}, peak {peak:.1f} MB "
                   f"(limit {limit}) {'ok' if ok else 'FAILED'}")
         return 1 if failed else 0
 

@@ -172,6 +172,10 @@ class TestCommonality:
 
 
 class TestConversions:
+    def test_kinds_print_as_their_document_names(self):
+        assert str(Kind.BELIEF) == "bel"
+        assert [str(kind) for kind in Kind] == ["bel", "pl", "q", "b"]
+
     def test_flat_commonality_is_vacuous(self):
         q = ValueFunction(F3, Kind.COMMONALITY, np.ones(8))
         np.testing.assert_allclose(mass_from(q).values, vacuous(F3).values, atol=1e-12)

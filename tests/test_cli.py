@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beliefdyn import documents
+from beliefdyn import documents, verify
 from beliefdyn.cli import main
 from beliefdyn.documents import (
     _dense_values,
@@ -35,7 +35,7 @@ from beliefdyn.belief import (
     pl_from_mass,
     q_from_mass,
 )
-from beliefdyn.specialization import dempsterian_matrix, disjunctive_matrix
+from beliefdyn.specialization import conditioning_matrix, dempsterian_matrix, disjunctive_matrix
 from beliefdyn.verify import random_mass
 from oracles import reference_document
 
@@ -97,6 +97,10 @@ class TestDocuments:
             text = json.dumps({"frame": ["a", "b", "c"], "masses": {key: 0.5, "a|b|c": 0.5}})
             with pytest.raises(InputError):
                 parse_document(text)
+
+    def test_non_string_key_is_input_error(self):
+        with pytest.raises(InputError, match="subset key must be a string, got 3"):
+            parse_subset_key(F3, 3)
 
     def test_unknown_label_is_named(self):
         with pytest.raises(InputError, match="label 'z' not in frame"):
@@ -703,6 +707,13 @@ class TestMatrix:
             expected[a, a & 0b10] = 1.0
         assert np.array_equal(matrix, expected)
 
+    def test_conditioning_takes_the_frame_of_an_input_file(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", PARTIAL)
+        assert main(["matrix", path, "--kind", "specialization", "--conditioning", "a"]) == 0
+        assert capsys.readouterr().out == format_matrix(
+            F3, conditioning_matrix(F3, 0b001).values, "conditioning-on-a specialization"
+        )
+
     def test_dempsterian_export(self, tmp_path, capsys):
         path = write(tmp_path, "m1.json", PAIR1)
         assert main(["matrix", path, "--kind", "dempsterian"]) == 0
@@ -762,15 +773,25 @@ class TestCheckCommand:
         main(["check", "--n", "2", "--samples", "15", "--seed", "9"])
         assert capsys.readouterr().out == first
 
-    def test_fault_injection_fails_with_witness(self, capsys):
-        assert main(["check", "--n", "2", "--samples", "10", "--inject-fault"]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL]" in out and "witness:" in out
+    def test_fault_injection_fails_with_witness(self, monkeypatch, capsys):
+        # the eigenstructure check's first matrix gets 1e-3 off the support
+        real = verify._transfer_rows
+
+        def fault(values, op):
+            out = real(values, op)
+            out[0, -1, 0] += 1e-3
+            return out
+
+        monkeypatch.setattr(verify, "_transfer_rows", fault)
+        argv = ["check", "--n", "2", "--samples", "10", "--theorems", "eigenstructure"]
+        assert main(argv) == 1
         witness = (
             '{"check":"eigenstructure","diagonal_deviation":0.0,"eigenrow_deviation":0.001,'
             '"m":[0.0,1.0,0.0,0.0],"n":2,"reconstruction_deviation":0.001}'
         )
-        assert f"    witness: {witness}\n" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "[FAIL]" in lines[1]
+        assert [line for line in lines if "witness:" in line] == [f"    witness: {witness}"]
 
     def test_samples_header_names_the_exhaustive_check(self, capsys):
         # conditioning-idempotent enumerates its 20 instances at n=2 whatever --samples says

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,8 @@ from beliefdyn.specialization import (
     SpecializationMatrix,
     _bounded,
     _is_dempsterian,
-    _support_plan,
+    _off_support,
+    _support_positions,
     _transfer_rows,
     _valid,
     apply,
@@ -444,26 +446,59 @@ class TestSupportPlan:
             assert err == float(np.abs(values - expected).max())
         assert err == 5e-10
 
-    @pytest.mark.parametrize("down", [True, False])
-    def test_cached_plan_is_read_only(self, down):
-        flat, levels = _support_plan(16, down)
-        arrays = [flat, *(index for _, _, first, second in levels for index in (first, second))]
-        for array in arrays:
-            assert array.dtype == np.int32
-            with pytest.raises(ValueError):
-                array[0] = 0
+    @pytest.mark.parametrize("op", [np.bitwise_and, np.bitwise_or])
+    def test_random_stacks_up_to_the_cap_are_the_dense_fold(self, op):
+        rng = np.random.default_rng(35)
+        for n in range(1, CAP_MATRIX + 1):
+            a = rng.random((2, 1 << n)) * (rng.random((2, 1 << n)) < 0.7)
+            out = _transfer_rows(a, op)
+            assert out.tobytes() == dense_fold_rows(a, op).tobytes()
+            if op is np.bitwise_or:  # X | A = B iff ~X & ~A = ~B: the downward matrix, reversed
+                flipped = _transfer_rows(a[..., ::-1], np.bitwise_and)[..., ::-1, ::-1]
+                assert out.tobytes() == np.ascontiguousarray(flipped).tobytes()
+
+    @pytest.mark.parametrize("upward", [False, True])
+    def test_cached_positions_are_read_only(self, upward):
+        positions = _support_positions(16, upward)
+        assert positions.dtype == np.int32
+        with pytest.raises(ValueError):
+            positions[0] = 0
         a = np.random.default_rng(34).random(16)
-        op = np.bitwise_and if down else np.bitwise_or
+        op = np.bitwise_or if upward else np.bitwise_and
         assert _transfer_rows(a, op).tobytes() == dense_fold_rows(a, op).tobytes()
 
-    @pytest.mark.parametrize("down", [True, False])
-    def test_plan_lists_each_support_entry_once(self, down):
+    @pytest.mark.parametrize("upward", [False, True])
+    def test_positions_list_each_support_entry_once(self, upward):
         n = 6
-        flat, levels = _support_plan(1 << n, down)
-        row, col = np.divmod(flat, 1 << n)
-        assert flat.size == 3**n == np.unique(flat).size
-        assert not ((col & ~row) if down else (row & ~col)).any()
-        assert [hi - lo for lo, hi, _, _ in levels] == [2 ** (n - k - 1) * 3**k for k in range(n)]
+        positions = _support_positions(1 << n, upward)
+        row, col = np.divmod(positions, 1 << n)
+        assert positions.size == 3**n == np.unique(positions).size
+        assert not ((row & ~col) if upward else (col & ~row)).any()
+        # entry j's ternary digit i places element i: in both, in the row only (upward:
+        # the column only), in neither
+        digits = np.arange(3**n)[:, None] // 3 ** np.arange(n) % 3
+        bits = 1 << np.arange(n)
+        assert np.array_equal(row, ((digits < 2) if not upward else (digits == 0)) @ bits)
+        assert np.array_equal(col, ((digits == 0) if not upward else (digits < 2)) @ bits)
+
+    @pytest.mark.parametrize("upward", [False, True])
+    def test_off_support_is_the_complement_of_the_positions(self, upward):
+        for n in range(1, CAP_MATRIX + 1):
+            on = np.zeros(4**n, dtype=bool)
+            on[_support_positions(1 << n, upward)] = True
+            assert np.array_equal(~_off_support(1 << n, upward).reshape(-1), on)
+
+    @pytest.mark.parametrize("upward", [False, True])
+    def test_off_support_mask_at_the_cap_builds_in_small_memory(self, upward):
+        # the 1 MB mask and one 2 MB int16 temporary, not an 8 MB int64 one
+        tracemalloc.start()
+        try:
+            mask = _off_support.__wrapped__(1 << CAP_MATRIX, upward)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(mask, _off_support(1 << CAP_MATRIX, upward))
+        assert peak <= 4e6
 
 
 class TestFoldBuilder:
