@@ -30,24 +30,33 @@ does not invert is written by the reader's checks alone.  So the reader
 accepts whatever the writer emits, and ``convert --to mass`` accepts
 whatever ``convert`` wrote.
 
-Both directions work per document rather than per key.  The reader
-parses with ``json``'s own dicts and proves by one count that no object
-repeats a key: each object member has one ``:`` of its own, so the text
-holds as many colons as the parsed objects hold members exactly when no
-key repeats and no string holds a colon.  Any other text, malformed JSON
-included, is read again with a hook that rejects a repeated key, and
-that reading raises whatever error the text has.  Every writer lists
-keys in bitmask order, so a written map is a prefix of the canonical key
-table; the reader compares it with the writer's chunks of that table,
-one chunk at a time, and takes the numbers in one conversion.  Every
-other key order or member order is still accepted, key by key, with the
-same checks and error messages.  The writer makes all its decisions (the
-zero rule, the rounding, the reader's checks, the notation) before its
-first piece of text, keeping the 12-digit text of each value in
-``repr``'s notation.  It then writes ``2**12`` subsets at a time,
-joining each chunk's keys from a table of the low labels and the chunk's
-key of high labels, so the whole key table and the whole text are never
-built.  The format is the same either way.
+Both directions work a piece at a time, so a dense document never sits
+in memory as one Python object per key or value.  The reader walks the
+top level with ``json``'s own scanner and reads a ``"masses"`` or
+``"values"`` map that follows ``"frame"`` in the ``2**12``-subset chunks
+it was written in, each piece cut at the comma before the next chunk's
+first key and the last at the first ``}``.  A piece counts only if it
+holds no more colons than a chunk has keys and ``json`` reads it as an
+object body with a member per colon, whose keys are the next keys of the
+canonical table and whose values are finite numbers; the map is then
+those bodies joined by commas, which ``json`` reads as the same members,
+and each piece goes into the vector and is dropped.  Counting colons
+proves that no object repeats a key: each object member has one ``:`` of
+its own, so a text holds as many colons as its objects hold members
+exactly when no key repeats and no string holds a colon.  Any doubt (a
+map that is not a prefix of the canonical table, a cut inside a string,
+a ``}`` in a label, a count that does not match, malformed JSON) sends
+the whole text through ``json.loads``, read again with a hook that
+rejects a repeated key where the count does not match; that route
+decodes keys in any order and raises whatever error the text has, with
+the same messages.  The writer makes all its decisions (the zero rule, the
+rounding, the reader's checks, the notation) before its first piece of
+text.  It rounds and formats ``2**12`` subsets at a time and keeps one
+string of values per chunk, which it splits only as it writes the chunk,
+joining each key from a table of the low labels and the chunk's key of
+high labels.  What is left whole is the text: a command's ``read_text``
+holds the file's bytes and its ``str`` at once.  The format is the same
+either way.
 """
 
 from __future__ import annotations
@@ -130,70 +139,87 @@ def parse_subset_key(frame: Frame, key: str) -> int:
     return _decode_key(_label_bits(frame), frame, key)
 
 
-def _written(values: np.ndarray, rebuild) -> tuple[np.ndarray, np.ndarray]:
+def _written(values: np.ndarray, rebuild, dense: bool) -> tuple[list[np.ndarray], list[str]]:
     """``values`` as a document writes them, by the rules of the module docstring.
 
     ``rebuild`` is the reader's constructor applied to the written values.
-    Also returns the JSON text of each written value, its ``repr``, in an
-    object array.
+    A ``dense`` document lists every subset, any other only those whose
+    written value is not 0.  Returns the listed subsets, ascending, cut into
+    the chunks of :func:`_dump`, and per chunk the JSON text of its values
+    joined by newlines: one string per chunk, not one per value.
     """
     tiny = np.abs(values) < _ZERO_BELOW
     if np.abs(values[tiny]).sum() <= _ZERO_BUDGET:
         out = np.where(tiny, 0.0, values)
     else:
         out = values.copy()
-    listed = np.flatnonzero(out)
-    # one format call over all listed values, not one per value
-    digits = ("%.12g\n" * listed.size % tuple(out[listed].tolist())).splitlines()
-    out[listed] = rounded = np.fromiter(map(float, digits), float, listed.size)
+
+    def chunked(listed: np.ndarray) -> list[np.ndarray]:
+        bits = min(values.size.bit_length() - 1, _CHUNK_BITS)
+        return np.split(listed, np.searchsorted(listed, np.arange(1, values.size >> bits) << bits))
+
+    chunks = chunked(np.arange(out.size) if dense else np.flatnonzero(out))
+    texts = []
+    for chunk in chunks:
+        chunk_values = out[chunk]
+        listed = np.flatnonzero(chunk_values)
+        # one format call per chunk, not one per value
+        text = "\n".join(["%.12g"] * listed.size) % tuple(chunk_values[listed].tolist())
+        out[chunk[listed]] = np.fromiter(map(float, text.splitlines()), float, listed.size)
+        if listed.size < chunk.size:  # a value document's zeros, in repr's notation
+            zeros = (chunk_values == 0.0) * (1 + np.signbit(chunk_values))
+            parts = np.array(["", "0.0", "-0.0"], dtype=object)[zeros]
+            parts[listed] = text.splitlines()
+            text = "\n".join(parts.tolist())
+        texts.append(text)
     try:
         rebuild(out)
     except NotABeliefFunctionError:
-        out, listed = values, np.flatnonzero(values)
-        digits = list(map(repr, values[listed].tolist()))
-    else:
-        # No text of fewer digits names a normal float of at most 12 significant
-        # digits, so its repr has the digits of its .12g text.  The notation
-        # differs for integers (1 against 1.0) and from 1e12 on (1e+12 against
-        # 1000000000000.0); those values, and the subnormal ones, are written anew.
-        magnitude = np.abs(rounded)
-        anew = (rounded == np.trunc(rounded)) | (magnitude >= 1e12) | (magnitude < 1e-300)
-        for i in np.flatnonzero(anew).tolist():
-            digits[i] = repr(float(digits[i]))
-    texts = np.empty(out.size, dtype=object)
-    texts[:] = "0.0"
-    texts[np.signbit(out)] = "-0.0"
-    texts[listed] = digits
-    return out, texts
+        chunks = chunked(np.arange(values.size) if dense else np.flatnonzero(values))
+        return chunks, ["\n".join(map(repr, values[chunk].tolist())) for chunk in chunks]
+    # No text of fewer digits names a normal float of at most 12 significant
+    # digits, so its repr has the digits of its .12g text.  The notation
+    # differs for integers (1 against 1.0, 1e+12 against 1000000000000.0),
+    # which every rounded value from 1e12 on is; those values, and the
+    # subnormal ones, are written anew.
+    for i, chunk in enumerate(chunks):
+        rounded = out[chunk]
+        anew = ((rounded == np.trunc(rounded)) | (np.abs(rounded) < 1e-300)) & (rounded != 0.0)
+        if anew.any():
+            digits = texts[i].splitlines()
+            for j in np.flatnonzero(anew).tolist():
+                digits[j] = repr(float(digits[j]))
+            texts[i] = "\n".join(digits)
+    return chunks, texts
 
 
 def _dump(
-    header: dict, field: str, frame: Frame, listed: np.ndarray, texts: np.ndarray
+    header: dict, field: str, frame: Frame, chunks: list[np.ndarray], texts: list[str]
 ) -> Iterator[str]:
     """``json.dumps({**header, field: dict(zip(keys, values))}, indent=2) + "\\n"``
-    in pieces, given the ``listed`` subsets in ascending order and the JSON
-    text of each one's value.
+    in pieces, given the listed subsets and their values' text in the
+    chunks of :func:`_written`.
 
     Only the short header goes through ``json.dumps``.  The body comes a
     chunk of ``2**_CHUNK_BITS`` subsets at a time.  The key of subset ``s``
     joins the key of its low bits ``s & mask``, from a table of the low
     labels, and the key of its chunk, from a table of the high labels, so
-    no whole key table or text is built.
+    no whole key table or text is built; a chunk's text is split into its
+    values only as the chunk is written.
     """
     text = json.dumps({**header, field: {}}, indent=2)
     # text ends with the empty map and the closing brace: '{}\n}'
     yield text[:-3]
     bits, low, low_sep, highs = _key_chunks([_json_text(label) for label in frame.labels])
-    edges = np.searchsorted(listed, np.arange(len(highs) + 1) << bits).tolist()
     mask = (1 << bits) - 1
     written = False
-    for high, start, stop in zip(highs, edges, edges[1:]):
-        if start == stop:
+    for high, chunk, values in zip(highs, chunks, texts):
+        if not chunk.size:
             continue
         table = low_sep if high else low
-        keys = [table[s] + high for s in (listed[start:stop] & mask).tolist()]
-        values = texts[start:stop].tolist()
-        pieces = [*chain.from_iterable(zip(repeat(',\n    "'), keys, repeat('": '), values))]
+        keys = [table[s] + high for s in (chunk & mask).tolist()]
+        entries = zip(repeat(',\n    "'), keys, repeat('": '), values.splitlines())
+        pieces = [*chain.from_iterable(entries)]
         if not written:
             pieces[0] = '\n    "'  # no comma before the first entry
             written = True
@@ -218,46 +244,17 @@ def _parse_frame(labels) -> Frame:
     return _document_frame(frame)
 
 
-def _canonical_prefix(frame: Frame, keys: list) -> bool:
-    """Whether the string ``keys`` are the first ``len(keys)`` keys of the frame's table."""
-    if len(keys) > frame.size:
-        return False
-    # the first c keys name only the first (c - 1).bit_length() labels
-    bits, low, low_sep, highs = _key_chunks(frame.labels[: (len(keys) - 1).bit_length()])
-    for h, high in enumerate(highs):
-        chunk = keys[h << bits : (h + 1) << bits]
-        # the expected keys one at a time, so no chunk of them is held
-        expected = map(operator.add, low_sep, repeat(high)) if h else low
-        if not all(map(operator.eq, chunk, expected)):
-            return False
-    return True
-
-
-def _dense_values(frame: Frame, mapping: dict) -> np.ndarray | None:
-    """The vector of a canonical-order prefix of numbers, read in one pass; else None."""
-    if not _canonical_prefix(frame, list(mapping)):
-        return None
-    if not set(map(type, mapping.values())) <= {int, float}:  # bool is a type of its own
-        return None
-    values = np.zeros(frame.size)
-    try:
-        values[: len(mapping)] = np.fromiter(mapping.values(), float, len(mapping))
-    except OverflowError:  # the per-key route names the key
-        return None
-    return values
-
-
 def _parse_values(frame: Frame, mapping, what: str) -> np.ndarray:
     """The vector a ``"masses"`` or ``"values"`` map lists.
 
-    A canonical-order prefix of numbers takes one pass; any other map goes
-    key by key, which decodes keys in any member order and names what it rejects.
+    A map that :func:`_map_in_pieces` read is that vector already; any other
+    goes key by key, which decodes keys in any member order and names what it rejects.
     """
+    if isinstance(mapping, np.ndarray):
+        return mapping
     if not isinstance(mapping, dict):
         raise InputError(f'"{what}" must be a key-value map')
-    values = _dense_values(frame, mapping)
-    if values is None:
-        values = _values_by_key(frame, mapping)
+    values = _values_by_key(frame, mapping)
     if not np.isfinite(values).all():
         key, value = next((k, v) for k, v in mapping.items() if not np.isfinite(float(v)))
         raise InputError(f"value for {key!r} is not finite: {value!r}")
@@ -325,9 +322,108 @@ def _load(text: str):
         raise InputError(f"not valid JSON: {exc}") from exc
 
 
+def _map_in_pieces(text: str, start: int, frame: Frame) -> tuple[np.ndarray, int]:
+    """The vector of the map whose body starts at ``text[start]``, read a piece at a time.
+
+    Returns the vector and the index past the map's closing brace.  Each
+    piece but the last ends at the comma before the next chunk's first key,
+    so a canonical map comes in the ``2**_CHUNK_BITS``-subset chunks it was
+    written in, and the last piece ends at the first ``}``.  A piece counts
+    only if it holds at most a chunk's worth of colons, and ``json`` reads
+    it as an object body with a member per colon, whose keys are the next
+    keys of the canonical table and whose values are finite numbers.  Then
+    the map is those bodies joined by commas, which ``json`` reads as the
+    same members, and its text holds exactly one colon per member.
+    Anything else raises, before a piece larger than a chunk is parsed.
+    """
+    bits, low, low_sep, highs = _key_chunks(frame.labels)
+    # the canonical keys one chunk at a time, so no chunk of them is held
+    later = (map(operator.add, low_sep, repeat(high)) for high in highs[1:])
+    expected = chain(low, chain.from_iterable(later))
+    # as written, a chunk's first key is its high key alone
+    high_keys = _key_table([_json_text(label) for label in frame.labels[bits:]])
+    marks = iter([f'"{key}"' for key in high_keys[1:]])
+    values = np.zeros(frame.size)
+    count, pos, last = 0, start, False
+    while not last:
+        mark = next(marks, None)
+        found = text.find(mark, pos) if mark else -1
+        stop = text.rfind(",", pos, found) if found >= 0 else -1
+        last = stop < 0
+        if last:  # a "}" in a key ends the piece inside a string, which json rejects
+            stop = text.find("}", pos)
+        size = text.count(":", pos, stop) if stop >= 0 else 0
+        if not 0 < size <= min(1 << bits, frame.size - count):
+            raise ValueError("not a chunk of members")
+        piece = json.loads("{" + text[pos:stop] + "}")
+        if len(piece) != size or not all(map(operator.eq, piece, expected)):
+            raise ValueError("not the next keys of the canonical table, each once")
+        if not set(map(type, piece.values())) <= {int, float}:  # bool is a type of its own
+            raise ValueError("not numbers")
+        values[count : count + size] = np.fromiter(piece.values(), float, size)
+        if not np.isfinite(values[count : count + size]).all():
+            raise ValueError("not finite")
+        count, pos = count + size, stop + 1
+    return values, pos
+
+
+def _read_in_pieces(text: str) -> dict:
+    """``json.loads(text)``, reading a ``"masses"`` or ``"values"`` map after ``"frame"`` in pieces.
+
+    Walks the top-level object with ``json``'s own scanner and reads every
+    other value whole; a map read by :func:`_map_in_pieces` comes back as
+    its vector.  Raises on any doubt: a frame or a piece that does not
+    hold, a repeated top-level key, text that is not one non-empty JSON
+    object, or more colons outside the maps read in pieces than members in
+    the objects there, which is a repeated key or a colon in a string.
+    """
+    decoder = json.JSONDecoder()
+    space = json.decoder.WHITESPACE.match
+    doc, members = {}, 0
+    outside = [0]  # the text outside the maps read in pieces: from, to, from, ...
+    pos = space(text).end()
+    if text[pos : pos + 1] != "{":
+        raise ValueError("not an object")
+    while True:
+        pos = space(text, pos + 1).end()
+        if text[pos : pos + 1] != '"':
+            raise ValueError("not a key")
+        key, pos = json.decoder.scanstring(text, pos + 1)
+        pos = space(text, pos).end()
+        if key in doc or text[pos : pos + 1] != ":":
+            raise ValueError("a repeated key or no colon")
+        members += 1
+        pos = space(text, pos + 1).end()
+        if key in ("masses", "values") and "frame" in doc and text[pos : pos + 1] == "{":
+            outside.append(pos)
+            doc[key], pos = _map_in_pieces(text, pos + 1, _parse_frame(doc["frame"]))
+            outside.append(pos)
+        else:
+            doc[key], pos = decoder.scan_once(text, pos)
+            members += _member_count(doc[key])
+        pos = space(text, pos).end()
+        if text[pos : pos + 1] != ",":
+            break
+    if text[pos : pos + 1] != "}" or space(text, pos + 1).end() != len(text):
+        raise ValueError("not one object")
+    outside.append(len(text))
+    if sum(map(text.count, repeat(":"), outside[::2], outside[1::2])) != members:
+        raise ValueError("more colons than members")
+    return doc
+
+
 def parse_document(text: str) -> MassFunction | ValueFunction:
-    """Parse a mass or value document; raises :class:`InputError` on bad files."""
-    doc = _load(text)
+    """Parse a mass or value document; raises :class:`InputError` on bad files.
+
+    The text is read in pieces (:func:`_read_in_pieces`) where that holds,
+    and whole (:func:`_load`) otherwise, which raises the text's own error.
+    """
+    try:
+        doc = _read_in_pieces(text)
+    except (ValueError, OverflowError, RecursionError, StopIteration, InputError):
+        doc = None  # read whole after the handler, which would keep the pieces alive
+    if doc is None:
+        doc = _load(text)
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     allowed = _MASS_KEYS if "masses" in doc else _VALUE_KEYS
@@ -364,9 +460,8 @@ def mass_document_chunks(m: MassFunction) -> Iterator[str]:
     Every check of the writer has run when this returns, before the first piece.
     """
     frame = _document_frame(m.frame)
-    values, texts = _written(m.values, lambda out: MassFunction(frame, out))
-    listed = np.flatnonzero(values)
-    return _dump({"frame": list(frame.labels)}, "masses", frame, listed, texts[listed])
+    chunks, texts = _written(m.values, lambda out: MassFunction(frame, out), dense=False)
+    return _dump({"frame": list(frame.labels)}, "masses", frame, chunks, texts)
 
 
 def value_document_chunks(v: ValueFunction) -> Iterator[str]:
@@ -379,11 +474,11 @@ def value_document_chunks(v: ValueFunction) -> Iterator[str]:
     try:
         mass_from(v)
     except NotABeliefFunctionError:
-        _, texts = _written(v.values, rebuild)
+        chunks, texts = _written(v.values, rebuild, dense=True)
     else:
-        _, texts = _written(v.values, lambda out: mass_from(rebuild(out)))
+        chunks, texts = _written(v.values, lambda out: mass_from(rebuild(out)), dense=True)
     header = {"frame": list(frame.labels), "kind": v.kind.value}
-    return _dump(header, "values", frame, np.arange(frame.size), texts)
+    return _dump(header, "values", frame, chunks, texts)
 
 
 def format_mass_document(m: MassFunction) -> str:

@@ -197,7 +197,9 @@ def _transfer_rows(values: np.ndarray, op) -> np.ndarray:
     0.0`` or a sum, so no zero of the output is -0.0, and an entry off the
     support is +0.0 even where ``values`` is not finite.  A matrix of a stack
     goes through the same additions as on its own, so it is bit for bit the
-    matrix on its own.
+    matrix on its own up to the sign of a NaN: where two NaNs meet in one
+    sum, numpy's ``np.add`` picks the sign by the element's place in its
+    vector loop.
     """
     size, upward = values.shape[-1], op is not np.bitwise_and
     out = np.zeros((*values.shape[:-1], size, size))

@@ -240,22 +240,26 @@ def naive_condition(masses, c, full):
     return out
 
 
-def reference_document(labels, values, kind=None):
+def reference_document(labels, values, kind=None, rounded=True):
     """Document text built as a dict and dumped by ``json.dumps(indent=2)``.
 
     Applies the writer's zero rule (values below 1e-12 become 0 when their
     magnitudes add up to at most 1e-10) and 12-significant-digit rounding
-    one entry at a time; the writer's unrounded fallback at the edge of the
-    reader's checks is not modelled.  ``kind=None`` writes a mass document,
-    which lists only the nonzero entries; otherwise a dense value document
-    of that kind.
+    one entry at a time.  ``rounded=False`` writes the writer's unrounded
+    fallback at the edge of the reader's checks instead: every value as
+    it is, which ``json`` writes as its ``repr``; whether the fallback
+    applies is not modelled.  ``kind=None`` writes a mass document, which
+    lists only the nonzero entries; otherwise a dense value document of
+    that kind.
     """
     tiny_total = sum(abs(x) for x in values if abs(x) < 1e-12)
     entries = {}
     for subset, x in enumerate(values):
-        if abs(x) < 1e-12 and tiny_total <= 1e-10:
-            x = 0.0
-        x = float(f"{float(x):.12g}")
+        x = float(x)
+        if rounded:
+            if abs(x) < 1e-12 and tiny_total <= 1e-10:
+                x = 0.0
+            x = float(f"{x:.12g}")
         if kind is None and x == 0.0:
             continue
         key = "|".join(label for i, label in enumerate(labels) if subset >> i & 1)
@@ -265,6 +269,16 @@ def reference_document(labels, values, kind=None):
     else:
         doc = {"frame": list(labels), "kind": kind, "values": entries}
     return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_values(text):
+    """The vector of the map a document lists, read whole by ``json.loads`` and key by key."""
+    doc = json.loads(text)
+    bit = {label: 1 << i for i, label in enumerate(doc["frame"])}
+    values = np.zeros(1 << len(bit))
+    for key, x in doc["masses" if "masses" in doc else "values"].items():
+        values[sum(bit[label] for label in key.split("|")) if key else 0] = x
+    return values
 
 
 def compare_bel_form(m1, m2, tol=DEFAULT_TOL):
