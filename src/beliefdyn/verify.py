@@ -15,8 +15,9 @@ larger frame splits into more stacks.  The cap is the smallest power of two
 under which every check of the default suite with a ``16×16`` block per
 instance runs as one stack at n=4; the largest is
 ``conditioning-least-committed``'s 500 matrices.  Double sums and matrix
-products use no transform, and neither does the plausibility product by
-which the row-dominated sampler tests its candidates.
+products use no transform.  The row-dominated sampler builds its rows from
+the conditioning scatter and the subset transform, not from the matrix
+builder or the plausibility route that the checks test.
 Sampled masses and matrices are checked once, where they are drawn, by
 the rules of ``MassFunction`` and ``is_valid_specialization``.  Matrices
 the library builds are not checked: they are what the checks test, so a
@@ -231,64 +232,50 @@ def sigma_star_specialization(
     return SpecializationMatrix(frame, _sigma_star(incidence_matrix(frame), condition_set, rng))
 
 
-# Candidate rows tried per row of a dominated specialization before the fallback.
-_CANDIDATES_PER_ROW = 40
-
-
-def _meets(size: int) -> np.ndarray:
-    """0/1 matrix, 1 at (X, A) iff ``X & A`` is nonempty: a mass stack times it is its plausibility."""
-    idx = np.arange(size)
-    return ((idx[:, None] & idx) != 0).astype(np.float64)
-
-
-def _dominated(t: np.ndarray, pl0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One specialization per anchor plausibility row of ``pl0``, each of its rows dominated by it.
+def _dominated(t: np.ndarray, m0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One specialization per anchor of the ``(k, N)`` mass stack ``m0``, each of its rows dominated by it.
 
     Row domination (row plausibility below the anchor's everywhere) is the
     checkable characterization of the matrices whose application always
-    yields a state at least as committed as the anchor.  Each round draws a
-    candidate for every row not yet accepted (``_CANDIDATES_PER_ROW`` rounds
-    at most) and tests its fit by one product against :func:`_meets`, a
-    plausibility route apart from the ``_pl`` that the checks test; a row
-    none fits takes a fresh candidate shrunk toward the point mass on the
-    empty set until it does.  Rows go in blocks of ``_BLOCK`` entries, and the
-    pending rows are compacted only in a round where some row fit; the stack
-    is checked as specializations.
+    yields a state at least as committed as the anchor.  Row ``A`` of the
+    anchor's Dempsterian matrix is the anchor conditioned on ``A``, with
+    ``pl(X) = pl0(X & A) <= pl0(X)``, and a specialization only lowers
+    plausibility; so each base row, the conditioned anchor (one scatter, not
+    the builder the checks test) times a random specialization, is dominated.
+    ``pl`` is linear in a row, so each row is mixed with a fresh candidate at
+    the largest weight ``alpha`` in [0, 1] that keeps it dominated.  A row
+    summing to one has ``pl(X) = 1 - b(~X)``, so that holds wherever the
+    row's implicability is at least the anchor's; sets holding ``A`` bound
+    no row ``A``, whose plausibility is zero outside ``A``.  The stack is
+    checked as specializations.
     """
     size = len(t)
-    meets, nonzero = _meets(size), t != 0
-    out = np.empty((len(pl0) * size, size))
-    for rows in _blocks(len(out), size):
-        support, bound = nonzero[rows % size], pl0[rows // size] + TOL_EXACT
-        for _ in range(_CANDIDATES_PER_ROW):
-            cand = _random_rows(support, rng)
-            fits = (cand @ meets <= bound).all(axis=1)
-            if not fits.any():
-                continue
-            out[rows[fits]] = cand[fits]
-            rest = ~fits
-            rows, support, bound = rows[rest], support[rest], bound[rest]
-            if not rows.size:
-                break
-        if rows.size:
-            cand = _random_rows(support, rng)
-            pl_row = _pl(cand)
-            ratio = np.divide(pl0[rows // size], pl_row, out=np.full_like(pl_row, np.inf), where=pl_row > 0.0)
-            alpha = np.minimum(1.0, ratio.min(axis=1))
-            cand *= alpha[:, None]
-            cand[:, 0] += 1.0 - alpha
-            out[rows] = cand
-    return _checked(out.reshape(len(pl0), size, size))
+    support = np.broadcast_to(t != 0, (len(m0), size, size))
+    rows = lattice._transfer(m0[:, None, :], np.bitwise_and, np.arange(size)) @ _specializations(support, rng)
+    cand = _random_rows(support, rng)
+    b0 = lattice.zeta_subsets(m0)[:, None, :]
+    # the base rows' slack, clipped where rounding takes it below 0, and the candidate's;
+    # where the candidate's is negative, alpha <= slack / (slack - its slack)
+    slack = np.maximum(lattice.zeta_subsets(rows) - b0, 0.0)
+    gap = lattice.zeta_subsets(cand)
+    gap -= b0
+    binding = (gap < 0.0) & (t.T == 0)
+    np.subtract(slack, gap, out=gap)
+    ratio = np.divide(slack, gap, out=slack, where=binding)
+    alpha = ratio.min(axis=-1, keepdims=True, where=binding, initial=1.0)
+    cand -= rows
+    cand *= alpha
+    rows += cand
+    return _checked(rows)
 
 
 def dominated_specialization(
     frame: Frame, anchor: MassFunction, rng: np.random.Generator
 ) -> SpecializationMatrix:
-    """Random specialization with every row at least as committed as ``anchor``; see :func:`_dominated`."""
+    """Random specialization with every row at least as committed as ``anchor``, built by :func:`_dominated`."""
     if anchor.frame != frame:
         raise FrameMismatchError(f"anchor on frame {anchor.frame.labels}, matrix on {frame.labels}")
-    pl0 = _pl(anchor.values)[None]
-    return SpecializationMatrix(frame, _dominated(incidence_matrix(frame), pl0, rng)[0])
+    return SpecializationMatrix(frame, _dominated(incidence_matrix(frame), anchor.values[None], rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +372,24 @@ def check_dempsterian_commutation(frame: Frame, samples: int = 200, seed=0) -> C
 def check_combination_least_committed(frame: Frame, samples: int = 300, seed=0) -> CheckReport:
     """The Dempsterian matrix is the least committed row-dominated update.
 
-    For sampled anchors m0, matrices S whose rows are dominated by m0, and
-    random m: applying m0's own matrix equals conjunctive combination, and
-    its plausibility dominates every alternative ``m . S`` pointwise.
+    For sampled anchors m0, matrices S whose rows are dominated by m0 (built
+    by :func:`_dominated`), and random m: applying m0's own matrix equals
+    conjunctive combination, and its plausibility dominates every alternative
+    ``m . S`` pointwise.  The domination deviation is signed: the largest
+    ``pl(m . S) - pl(m . D(m0))`` over the non-empty sets (at the empty set
+    both are 0).
     """
     fold, rng = _start("combination-least-committed", frame, seed, samples)
     size = frame.size
     t = incidence_matrix(frame)
     for rows in _blocks(samples, size**2):
         m0 = _random_masses(size, rows.size, rng)
-        s = _dominated(t, _pl(m0), rng)
+        s = _dominated(t, m0, rng)
         m = _random_masses(size, rows.size, rng)
         best = _apply(m, _transfer_rows(m0, np.bitwise_and))
         fold.add({
             "equality_deviation": (_worst(best - _conjunctive(m, m0)), TOL_EXACT),
-            "domination_deviation": ((_pl(_apply(m, s)) - _pl(best)).max(axis=1), TOL),
+            "domination_deviation": ((_pl(_apply(m, s)) - _pl(best))[:, 1:].max(axis=1), TOL),
         }, m0=m0, m=m, S=s)
     return fold.report()
 

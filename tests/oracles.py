@@ -3,9 +3,9 @@
 Everything here is deliberately quadratic (or worse) enumeration straight
 from the defining formulas, kept free of the library's fast transforms so
 the two routes stay independent.  Two exceptions reuse library routes on
-purpose: :func:`reference_dominated` pins a sampler's draws through the
-plausibility route, and :func:`compare_bel_form` holds ``compare``'s one
-transform of a difference against one transform per state.
+purpose: :func:`reference_dominated` pins a sampler's draws through its own
+cores, one anchor at a time, and :func:`compare_bel_form` holds
+``compare``'s one transform of a difference against one transform per state.
 """
 
 import json
@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from beliefdyn.commitment import _classify
-from beliefdyn.lattice import DEFAULT_TOL, require_same_frame, zeta_subsets
+from beliefdyn.lattice import DEFAULT_TOL, _transfer, require_same_frame, zeta_subsets
 
 
 def is_subset(a: int, b: int) -> bool:
@@ -144,41 +144,35 @@ def gathered_is_dempsterian(v, tol):
     return gathered_valid(v, tol) & (gap <= tol)
 
 
-def reference_dominated(t, pl0, rng, block, candidates, tol):
-    """Row-dominated specializations drawn as the sampler draws them, with the fit tested by ``_pl``.
+def reference_dominated(t, m0, rng):
+    """Row-dominated specializations built as the sampler builds them, one anchor at a time.
 
-    The same uniforms in the same order, row blocks of ``block`` entries,
-    ``candidates`` rounds and the same shrink toward the empty set; each
-    candidate's plausibility comes from the library's butterfly ``_pl``, the
-    route the checks test, where the sampler takes one product.
+    The same uniforms in the same order (every anchor's specialization, then
+    every anchor's candidate rows) and the same cores: the conditioning
+    scatter, the matrix product and the subset transform.  Each candidate row
+    goes in at the largest weight in [0, 1] under which the row's
+    implicability stays at least the anchor's on every set not holding the
+    row's own set, found here set by set.
     """
-    from beliefdyn.belief import _pl
+    size = len(t)
+    idx = np.arange(size)
 
-    def draw(support):
-        w = support * (1.0 - rng.random(support.shape))
+    def draw():
+        w = (t != 0) * (1.0 - rng.random((len(m0), size, size)))
         return w / w.sum(axis=-1, keepdims=True)
 
-    size = len(t)
-    out = np.empty((len(pl0) * size, size))
-    step = max(1, block // size)
-    for start in range(0, len(out), step):
-        rows = np.arange(start, min(start + step, len(out)))
-        for _ in range(candidates):
-            cand = draw(t[rows % size])
-            fits = (_pl(cand) <= pl0[rows // size] + tol).all(axis=1)
-            out[rows[fits]] = cand[fits]
-            rows = rows[~fits]
-            if not rows.size:
-                break
-        if rows.size:
-            cand = draw(t[rows % size])
-            pl_row = _pl(cand)
-            ratio = np.divide(pl0[rows // size], pl_row, out=np.full_like(pl_row, np.inf), where=pl_row > 0.0)
-            alpha = np.minimum(1.0, ratio.min(axis=1))
-            cand *= alpha[:, None]
-            cand[:, 0] += 1.0 - alpha
-            out[rows] = cand
-    return out.reshape(len(pl0), size, size)
+    spec, cand = draw(), draw()
+    out = np.empty((len(m0), size, size))
+    for i, anchor in enumerate(m0):
+        rows = _transfer(anchor, np.bitwise_and, idx) @ spec[i]
+        b0 = zeta_subsets(anchor)
+        slack = np.maximum(zeta_subsets(rows) - b0, 0.0)
+        gap = zeta_subsets(cand[i]) - b0
+        alpha = np.ones((size, 1))
+        for a, y in zip(*np.nonzero((gap < 0.0) & ((idx[:, None] & idx) != idx[:, None]))):
+            alpha[a] = min(alpha[a, 0], slack[a, y] / (slack[a, y] - gap[a, y]))
+        out[i] = rows + alpha * (cand[i] - rows)
+    return out
 
 
 def naive_bel(masses):

@@ -90,12 +90,19 @@ def first_difference(text: str, expected: str):
     """The first line where two texts differ, as (number, line, expected line), or None.
 
     A short failure message where comparing two large documents would diff them whole.
+    Lines are split at ``"\n"`` alone, so a missing final newline or a stray ``"\r"``
+    differs, as it does under ``==``.
     """
-    pairs = enumerate(zip_longest(text.splitlines(), expected.splitlines()))
+    pairs = enumerate(zip_longest(text.split("\n"), expected.split("\n")))
     return next(((i, line, want) for i, (line, want) in pairs if line != want), None)
 
 
 class TestDocuments:
+    def test_first_difference_sees_every_difference_equality_sees(self):
+        assert first_difference("a\nb\n", "a\nb\n") is None
+        assert first_difference("a\nb", "a\nb\n") == (2, None, "")
+        assert first_difference("a\r\nb\n", "a\nb\n") == (0, "a\r", "a")
+
     def test_subset_keys_are_canonical(self):
         assert subset_key(F3, 0b110) == "b|c"
         assert subset_key(F3, 0) == ""
@@ -154,10 +161,10 @@ class TestDocuments:
             cases += [random_mass(frame, rng).values, *tiny]
         for values in cases[:1] if n > 13 else cases:
             m = MassFunction(frame, values)
-            assert format_mass_document(m) == reference_document(frame.labels, values)
+            assert first_difference(format_mass_document(m), reference_document(frame.labels, values)) is None
             for v in (bel_from_mass(m), q_from_mass(m)):
                 expected = reference_document(frame.labels, v.values, v.kind.value)
-                assert format_value_document(v) == expected
+                assert first_difference(format_value_document(v), expected) is None
 
     @pytest.mark.parametrize("n", [13, 14])
     def test_writer_matches_reference_across_chunk_edges(self, n):

@@ -414,9 +414,9 @@ WITNESS_TEXTS = {
     "combination-least-committed": (
         "_conjunctive", mix_vacuous,
         lambda: verify.check_combination_least_committed(F2, samples=5, seed=4),
-        '{"S":[[1.0,0.0,0.0,0.0],[1.0,0.0,0.0,0.0],[0.389950881087,0.0,0.610049118913,0.0],'
-        '[1.0,0.0,0.0,0.0]],"check":"combination-least-committed","domination_deviation":0.0,'
-        '"equality_deviation":0.001,"m":[0.0,0.601882983408,0.270565534187,0.127551482405],'
+        '{"S":[[1.0,0.0,0.0,0.0],[1.0,0.0,0.0,0.0],[0.738148148457,0.0,0.261851851543,0.0],'
+        '[0.389950881087,0.0,0.610049118913,0.0]],"check":"combination-least-committed",'
+        '"domination_deviation":0.0,"equality_deviation":0.001,"m":[0.622178729176,0.0,0.377821270824,0.0],'
         '"m0":[0.0,0.0,1.0,0.0],"n":2}',
     ),
     "eigenstructure": (

@@ -13,14 +13,11 @@ from beliefdyn.verify import (
     CheckReport,
     EXHAUSTIVE_CHECKS,
     TOL,
-    TOL_EXACT,
     _BLOCK,
-    _CANDIDATES_PER_ROW,
     _CHECKS,
     _Fold,
     _blocks,
     _dominated,
-    _meets,
     _random_masses,
     _random_rows,
     _witness,
@@ -87,50 +84,52 @@ class TestSamplers:
                 row_pl = [sum(s.values[a, b] for b in range(8) if b & d) for d in range(8)]
                 assert (np.array(row_pl) <= pl0 + 1e-9).all()
 
-    def test_dominated_fallback_when_no_candidate_passes(self):
-        # pl of a point mass on the empty set is zero everywhere, so every
-        # row but the empty set's rejects all its candidates and is shrunk
-        # all the way to the empty set
+    def test_dominated_anchor_on_the_empty_set_gives_every_row_the_empty_set(self):
+        # pl of a point mass on the empty set is zero everywhere, so every base
+        # row is that point mass and no candidate goes in at a positive weight
         anchor = MassFunction(F3, np.eye(8)[0])
         s = dominated_specialization(F3, anchor, np.random.default_rng(4))
         assert is_valid_specialization(s)
         assert np.array_equal(s.values, np.eye(8)[[0] * 8])
 
     @pytest.mark.parametrize("n", range(1, 5))
-    def test_dominated_draws_match_the_pl_route(self, n):
-        # the product fit test accepts the same candidates as the butterfly,
-        # so every draw, fallback rows included, is the same bit for bit;
-        # 70 anchors span two row blocks at n=4, and the point mass on the
-        # empty set sends every row but the empty set's to the fallback
+    def test_dominated_draws_match_the_reference(self, n):
+        # the stack is the construction one anchor at a time, bit for bit; the
+        # point mass on the empty set gives that point mass to every row
         size = 1 << n
         t = incidence_matrix(default_frame(n))
         for seed in range(10):
             rng = np.random.default_rng(100 * n + seed)
-            pl0 = _pl(np.vstack([np.eye(size)[:1], _random_masses(size, 69, rng)]))
-            got = _dominated(t, pl0, np.random.default_rng(seed))
-            want = reference_dominated(t, pl0, np.random.default_rng(seed), _BLOCK, _CANDIDATES_PER_ROW, TOL_EXACT)
-            assert np.array_equal(got, want)
-            assert np.array_equal(got[0, 1:], np.eye(size)[[0] * (size - 1)])
-
-    @pytest.mark.parametrize("n", range(2, 5))
-    def test_dominated_draws_match_the_pl_route_across_row_blocks(self, n, monkeypatch):
-        # at 2**10 entries a block, 70 anchors take 2, 5 and 18 row blocks at n = 2, 3, 4
-        monkeypatch.setattr("beliefdyn.verify._BLOCK", 2**10)
-        size = 1 << n
-        t = incidence_matrix(default_frame(n))
-        for seed in range(10):
-            rng = np.random.default_rng(200 * n + seed)
-            pl0 = _pl(np.vstack([np.eye(size)[:1], _random_masses(size, 69, rng)]))
-            got = _dominated(t, pl0, np.random.default_rng(seed))
-            want = reference_dominated(t, pl0, np.random.default_rng(seed), 2**10, _CANDIDATES_PER_ROW, TOL_EXACT)
-            assert np.array_equal(got, want)
+            m0 = np.vstack([np.eye(size)[:1], _random_masses(size, 69, rng)])
+            got = _dominated(t, m0, np.random.default_rng(seed))
+            assert np.array_equal(got, reference_dominated(t, m0, np.random.default_rng(seed)))
+            assert np.array_equal(got[0], np.eye(size)[[0] * size])
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_meets_product_is_the_plausibility(self, n):
+    def test_dominated_rows_are_dominated_and_maximal(self, n):
+        # through the plausibility route the checks test: every row below its anchor, and
+        # either the candidate itself (weight 1) or on its anchor at some non-empty set
+        size, eps = 1 << n, np.finfo(float).eps
+        t = incidence_matrix(default_frame(n))
+        rng = np.random.default_rng(40 + n)
+        m0 = _random_masses(size, max(1, 2**14 // size**2), rng)
+        s = _dominated(t, m0, np.random.default_rng(n))
+        replay, support = np.random.default_rng(n), np.broadcast_to(t != 0, s.shape)
+        _random_rows(support, replay)  # the specialization's draw comes first
+        cand = _random_rows(support, replay)
+        slack = (_pl(m0)[:, None, :] - _pl(s))[..., 1:]
+        assert slack.min() >= -4 * eps
+        is_cand = np.abs(s - cand).max(axis=-1) <= 4 * eps
+        assert (is_cand | (slack.min(axis=-1) <= 4 * eps)).all()
+        assert 0 < is_cand.mean() < 1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dominated_raises_no_floating_point_error(self, n):
+        # no weight divides by zero, also where the point mass on the empty set leaves no slack
         size = 1 << n
-        rng = np.random.default_rng(30 + n)
-        cand = _random_rows(np.broadcast_to(incidence_matrix(default_frame(n)), (20, size, size)), rng)
-        np.testing.assert_allclose(cand @ _meets(size), _pl(cand), rtol=0.0, atol=8 * np.finfo(float).eps)
+        m0 = np.vstack([np.eye(size)[:1], _random_masses(size, 7, np.random.default_rng(50 + n))])
+        with np.errstate(all="raise"):
+            _dominated(incidence_matrix(default_frame(n)), m0, np.random.default_rng(n))
 
     def test_dominated_rejects_an_anchor_from_another_frame(self):
         rng = np.random.default_rng(7)
@@ -141,8 +140,7 @@ class TestSamplers:
             dominated_specialization(F3, relabelled, rng)
 
     def test_dominated_specialization_memory_is_bounded(self):
-        # one candidate per pending row a round, in row blocks: far below a single
-        # (2**n, 41, 2**n) block of all candidates, which takes 21 MB at n=8
+        # a few (2**n, 2**n) arrays of 0.5 MB each at n=8
         frame = default_frame(8)
         rng = np.random.default_rng(5)
         anchor = random_mass(frame, rng)
@@ -214,6 +212,17 @@ class TestIndividualChecks:
         report = check_combination_least_committed(F3, samples=60, seed=8)
         assert report.passed
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_combination_least_committed_passes_above_the_suite_cap(self, n):
+        report = check_combination_least_committed(default_frame(n), samples=30, seed=n)
+        assert report.passed, report.witness
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_combination_least_committed_passes_for_seeds_0_to_19(self, seed):
+        for n in range(1, 5):
+            report = check_combination_least_committed(default_frame(n), seed=seed)
+            assert report.passed, report.witness
+
     def test_eigen_structure_passes(self):
         report = check_eigen_structure(default_frame(5), samples=40, seed=9)
         assert report.passed and report.worst_deviation <= 1e-9
@@ -280,7 +289,7 @@ class TestRunAll:
 
     def test_default_suite_memory_and_stacks(self, monkeypatch):
         # each check of the default suite with a 16x16 block is one stack at n=4, 37 stacks
-        # in all; the largest temporaries, in the row-dominated sampler, peak near 2.74 MB
+        # in all; the largest temporaries, in the row-dominated sampler, peak near 2.86 MB
         run_all()  # builds the cached incidence and support matrices
         stacks = record_stacks(monkeypatch)
         tracemalloc.start()
