@@ -41,22 +41,26 @@ object body with a member per colon, whose keys are the next keys of the
 canonical table and whose values are finite numbers; the map is then
 those bodies joined by commas, which ``json`` reads as the same members,
 and each piece goes into the vector and is dropped.  Counting colons
-proves that no object repeats a key: each object member has one ``:`` of
-its own, so a text holds as many colons as its objects hold members
-exactly when no key repeats and no string holds a colon.  Any doubt (a
-map that is not a prefix of the canonical table, a cut inside a string,
-a ``}`` in a label, a count that does not match, malformed JSON) sends
-the whole text through ``json.loads``, read again with a hook that
-rejects a repeated key where the count does not match; that route
-decodes keys in any order and raises whatever error the text has, with
-the same messages.  The writer makes all its decisions (the zero rule, the
-rounding, the reader's checks, the notation) before its first piece of
-text.  It rounds and formats ``2**12`` subsets at a time and keeps one
-string of values per chunk, which it splits only as it writes the chunk,
-joining each key from a table of the low labels and the chunk's key of
-high labels.  What is left whole is the text: a command's ``read_text``
-holds the file's bytes and its ``str`` at once.  The format is the same
-either way.
+proves that no piece repeats a key: each object member has one ``:`` of
+its own, so a piece holds as many colons as its object holds members
+exactly when no key repeats and no string holds a colon.  Every other
+value is read whole by ``json`` with a hook that rejects a repeated key.
+Any doubt (a map that is not a prefix of the canonical table, a cut
+inside a string, a ``}`` in a label, a count that does not match, a
+repeated key, malformed JSON) sends the whole text through
+``json.loads``, read again with that hook where its colons do not match
+its members; that route decodes keys in any order and raises whatever
+error the text has, with the same messages.  The writer makes all its
+decisions (the zero rule, the rounding, the reader's checks, the
+notation) before its first piece of text.  It settles ``2**12`` subsets
+at a time in one pass, under one notation rule: a value's ``.12g`` text,
+or its ``repr`` where the two notations differ.  Per chunk it keeps the
+offsets of the listed subsets (one array shared by every chunk that
+lists all its subsets) and one string of values, which it splits only
+as it writes the chunk, joining each key from a table of the low labels
+and the chunk's key of high labels.  What is left whole is the text: a
+command's ``read_text`` holds the file's bytes and its ``str`` at once.
+The format is the same either way.
 """
 
 from __future__ import annotations
@@ -144,80 +148,77 @@ def _written(values: np.ndarray, rebuild, dense: bool) -> tuple[list[np.ndarray]
 
     ``rebuild`` is the reader's constructor applied to the written values.
     A ``dense`` document lists every subset, any other only those whose
-    written value is not 0.  Returns the listed subsets, ascending, cut into
-    the chunks of :func:`_dump`, and per chunk the JSON text of its values
-    joined by newlines: one string per chunk, not one per value.
+    written value is not 0.  Returns, per ``2**_CHUNK_BITS``-subset chunk,
+    the ascending offsets of its listed subsets (one array that every
+    chunk listing all its subsets shares) and one string of their values'
+    JSON text, joined by newlines.
+
+    One pass settles a chunk: one ``%.12g`` call formats its nonzero values,
+    read back into the written vector.  A normal float of at most 12
+    significant digits has no shorter text, so its ``repr`` has the digits
+    of its ``.12g`` text.  The notation differs for integers (0 against 0.0,
+    1e+12 against 1000000000000.0) and subnormals, which get their ``repr``,
+    made once per bit pattern in the chunk, so ``-0.0`` keeps its sign.
     """
     tiny = np.abs(values) < _ZERO_BELOW
     if np.abs(values[tiny]).sum() <= _ZERO_BUDGET:
         out = np.where(tiny, 0.0, values)
     else:
         out = values.copy()
-
-    def chunked(listed: np.ndarray) -> list[np.ndarray]:
-        bits = min(values.size.bit_length() - 1, _CHUNK_BITS)
-        return np.split(listed, np.searchsorted(listed, np.arange(1, values.size >> bits) << bits))
-
-    chunks = chunked(np.arange(out.size) if dense else np.flatnonzero(out))
-    texts = []
-    for chunk in chunks:
-        chunk_values = out[chunk]
-        listed = np.flatnonzero(chunk_values)
+    every = np.arange(min(values.size, 1 << _CHUNK_BITS))
+    offsets, texts = [], []
+    for block in out.reshape(-1, every.size):  # views: the rounded values land in out
+        listed = np.flatnonzero(block)
         # one format call per chunk, not one per value
-        text = "\n".join(["%.12g"] * listed.size) % tuple(chunk_values[listed].tolist())
-        out[chunk[listed]] = np.fromiter(map(float, text.splitlines()), float, listed.size)
-        if listed.size < chunk.size:  # a value document's zeros, in repr's notation
-            zeros = (chunk_values == 0.0) * (1 + np.signbit(chunk_values))
-            parts = np.array(["", "0.0", "-0.0"], dtype=object)[zeros]
-            parts[listed] = text.splitlines()
+        text = "\n".join(["%.12g"] * listed.size) % tuple(block[listed].tolist())
+        digits = text.splitlines()  # none for an empty chunk
+        block[listed] = np.fromiter(map(float, digits), float, listed.size)
+        # a chunk that lists every subset shares one array: no document holds an index per subset
+        chunk = every if dense or listed.size == every.size else listed
+        rounded = block[chunk]
+        anew = (rounded == np.trunc(rounded)) | (np.abs(rounded) < 1e-300)
+        if anew.any():
+            patterns, which = np.unique(rounded[anew].view(np.int64), return_inverse=True)
+            reprs = np.array([repr(x) for x in patterns.view(float).tolist()], dtype=object)
+            parts = np.empty(chunk.size, dtype=object)
+            parts[rounded != 0.0] = digits
+            parts[anew] = reprs[which]
             text = "\n".join(parts.tolist())
+        offsets.append(chunk)
         texts.append(text)
     try:
         rebuild(out)
     except NotABeliefFunctionError:
-        chunks = chunked(np.arange(values.size) if dense else np.flatnonzero(values))
-        return chunks, ["\n".join(map(repr, values[chunk].tolist())) for chunk in chunks]
-    # No text of fewer digits names a normal float of at most 12 significant
-    # digits, so its repr has the digits of its .12g text.  The notation
-    # differs for integers (1 against 1.0, 1e+12 against 1000000000000.0),
-    # which every rounded value from 1e12 on is; those values, and the
-    # subnormal ones, are written anew.
-    for i, chunk in enumerate(chunks):
-        rounded = out[chunk]
-        anew = ((rounded == np.trunc(rounded)) | (np.abs(rounded) < 1e-300)) & (rounded != 0.0)
-        if anew.any():
-            digits = texts[i].splitlines()
-            for j in np.flatnonzero(anew).tolist():
-                digits[j] = repr(float(digits[j]))
-            texts[i] = "\n".join(digits)
-    return chunks, texts
+        blocks = values.reshape(-1, every.size)
+        offsets = [every if dense else np.flatnonzero(block) for block in blocks]
+        texts = ["\n".join(map(repr, block[o].tolist())) for block, o in zip(blocks, offsets)]
+    return offsets, texts
 
 
 def _dump(
-    header: dict, field: str, frame: Frame, chunks: list[np.ndarray], texts: list[str]
+    header: dict, field: str, frame: Frame, offsets: list[np.ndarray], texts: list[str]
 ) -> Iterator[str]:
     """``json.dumps({**header, field: dict(zip(keys, values))}, indent=2) + "\\n"``
-    in pieces, given the listed subsets and their values' text in the
-    chunks of :func:`_written`.
+    in pieces, given per chunk of :func:`_written` the offsets of its listed
+    subsets and their values' text.
 
     Only the short header goes through ``json.dumps``.  The body comes a
-    chunk of ``2**_CHUNK_BITS`` subsets at a time.  The key of subset ``s``
-    joins the key of its low bits ``s & mask``, from a table of the low
-    labels, and the key of its chunk, from a table of the high labels, so
+    chunk of ``2**_CHUNK_BITS`` subsets at a time.  The key of the subset at
+    offset ``s`` of chunk ``h`` joins the key of ``s``, from a table of the
+    low labels, and the key of ``h``, from a table of the high labels, so
     no whole key table or text is built; a chunk's text is split into its
     values only as the chunk is written.
     """
     text = json.dumps({**header, field: {}}, indent=2)
     # text ends with the empty map and the closing brace: '{}\n}'
     yield text[:-3]
-    bits, low, low_sep, highs = _key_chunks([_json_text(label) for label in frame.labels])
-    mask = (1 << bits) - 1
+    _, low, low_sep, highs = _key_chunks([_json_text(label) for label in frame.labels])
     written = False
-    for high, chunk, values in zip(highs, chunks, texts):
+    for high, chunk, values in zip(highs, offsets, texts):
         if not chunk.size:
             continue
         table = low_sep if high else low
-        keys = [table[s] + high for s in (chunk & mask).tolist()]
+        keys = [table[s] + high for s in chunk.tolist()]
         entries = zip(repeat(',\n    "'), keys, repeat('": '), values.splitlines())
         pieces = [*chain.from_iterable(entries)]
         if not written:
@@ -372,15 +373,14 @@ def _read_in_pieces(text: str) -> dict:
 
     Walks the top-level object with ``json``'s own scanner and reads every
     other value whole; a map read by :func:`_map_in_pieces` comes back as
-    its vector.  Raises on any doubt: a frame or a piece that does not
-    hold, a repeated top-level key, text that is not one non-empty JSON
-    object, or more colons outside the maps read in pieces than members in
-    the objects there, which is a repeated key or a colon in a string.
+    its vector, whose pieces count their own colons.  Raises on any doubt:
+    a frame or a piece that does not hold, a repeated top-level key, a
+    repeated key in a value read whole (``_unique_keys``), or text that is
+    not one non-empty JSON object.
     """
-    decoder = json.JSONDecoder()
+    decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
     space = json.decoder.WHITESPACE.match
-    doc, members = {}, 0
-    outside = [0]  # the text outside the maps read in pieces: from, to, from, ...
+    doc = {}
     pos = space(text).end()
     if text[pos : pos + 1] != "{":
         raise ValueError("not an object")
@@ -392,23 +392,16 @@ def _read_in_pieces(text: str) -> dict:
         pos = space(text, pos).end()
         if key in doc or text[pos : pos + 1] != ":":
             raise ValueError("a repeated key or no colon")
-        members += 1
         pos = space(text, pos + 1).end()
         if key in ("masses", "values") and "frame" in doc and text[pos : pos + 1] == "{":
-            outside.append(pos)
             doc[key], pos = _map_in_pieces(text, pos + 1, _parse_frame(doc["frame"]))
-            outside.append(pos)
         else:
             doc[key], pos = decoder.scan_once(text, pos)
-            members += _member_count(doc[key])
         pos = space(text, pos).end()
         if text[pos : pos + 1] != ",":
             break
     if text[pos : pos + 1] != "}" or space(text, pos + 1).end() != len(text):
         raise ValueError("not one object")
-    outside.append(len(text))
-    if sum(map(text.count, repeat(":"), outside[::2], outside[1::2])) != members:
-        raise ValueError("more colons than members")
     return doc
 
 
@@ -460,8 +453,8 @@ def mass_document_chunks(m: MassFunction) -> Iterator[str]:
     Every check of the writer has run when this returns, before the first piece.
     """
     frame = _document_frame(m.frame)
-    chunks, texts = _written(m.values, lambda out: MassFunction(frame, out), dense=False)
-    return _dump({"frame": list(frame.labels)}, "masses", frame, chunks, texts)
+    offsets, texts = _written(m.values, lambda out: MassFunction(frame, out), dense=False)
+    return _dump({"frame": list(frame.labels)}, "masses", frame, offsets, texts)
 
 
 def value_document_chunks(v: ValueFunction) -> Iterator[str]:
@@ -474,11 +467,11 @@ def value_document_chunks(v: ValueFunction) -> Iterator[str]:
     try:
         mass_from(v)
     except NotABeliefFunctionError:
-        chunks, texts = _written(v.values, rebuild, dense=True)
+        offsets, texts = _written(v.values, rebuild, dense=True)
     else:
-        chunks, texts = _written(v.values, lambda out: mass_from(rebuild(out)), dense=True)
+        offsets, texts = _written(v.values, lambda out: mass_from(rebuild(out)), dense=True)
     header = {"frame": list(frame.labels), "kind": v.kind.value}
-    return _dump(header, "values", frame, chunks, texts)
+    return _dump(header, "values", frame, offsets, texts)
 
 
 def format_mass_document(m: MassFunction) -> str:

@@ -9,7 +9,8 @@ on it, which read a dense document, ``convert --to pl`` on the 1 000
 masses, which writes one, and ``beliefdyn matrix`` of ``--kind
 despecialization`` and of ``--kind disjunctive`` on the 10-element
 document, each in a child process.  Prints each child's peak resident
-size (``ru_maxrss``) and exits 1 if a child fails or peaks above its limit.
+size (``ru_maxrss``) and wall time, and exits 1 if a child fails or peaks
+above its limit; the times are for the log and have no limit.
 
 A child's ``ru_maxrss`` counts the resident size of the process that
 spawned it, so this script imports nothing heavy and writes the documents
@@ -22,12 +23,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # Each limit is the peak measured on Python 3.11 plus about 15 %: combine 131.0 MB,
-# convert --to pl 127.4 MB and 120.6 MB, matrix 81.3 MB.
+# convert --to pl 120.9 MB and 114.2 MB, matrix 81.0 MB.
 LIMIT_MB = 150  # the commands that read the dense 20-element document
-WRITE_LIMIT_MB = 140  # convert --to pl of the 1 000 masses, a dense 20-element output
+WRITE_LIMIT_MB = 131  # convert --to pl of the 1 000 masses, a dense 20-element output
 MATRIX_LIMIT_MB = 100  # the matrix commands on the 10-element document
 
 WRITE = """
@@ -47,11 +49,12 @@ with open(sys.argv[1], "w") as file:
 """
 
 
-def run(argv: list[str]) -> tuple[int, float]:
-    """Exit code and peak resident size in MB of one child process."""
+def run(argv: list[str]) -> tuple[int, float, float]:
+    """Exit code, peak resident size in MB and wall time in seconds of one child process."""
+    start = time.perf_counter()
     proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
-    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0, time.perf_counter() - start
 
 
 def main() -> int:
@@ -59,7 +62,7 @@ def main() -> int:
         docs = {}
         for name, n, focal in (("dense20", 20, 1 << 20), ("sparse20", 20, 1000), ("dense10", 10, 1 << 10)):
             docs[name] = str(Path(tmp, f"{name}.json"))
-            code, _ = run([sys.executable, "-c", WRITE, docs[name], str(n), str(focal)])
+            code, _, _ = run([sys.executable, "-c", WRITE, docs[name], str(n), str(focal)])
             if code != 0:
                 print(f"writing the {name} document exited {code}")
                 return 1
@@ -73,12 +76,12 @@ def main() -> int:
             (["matrix", docs["dense10"], "--kind", "disjunctive"], MATRIX_LIMIT_MB),
         ):
             out = str(Path(tmp, "out.txt"))
-            code, peak = run([sys.executable, "-m", "beliefdyn.cli", *argv, "-o", out])
+            code, peak, wall = run([sys.executable, "-m", "beliefdyn.cli", *argv, "-o", out])
             ok = code == 0 and peak <= limit
             failed |= not ok
             command = " ".join(Path(arg).name if arg.startswith(tmp) else arg for arg in argv)
             print(f"beliefdyn {command}: exit {code}, peak {peak:.1f} MB "
-                  f"(limit {limit}) {'ok' if ok else 'FAILED'}")
+                  f"(limit {limit}), {wall:.2f} s {'ok' if ok else 'FAILED'}")
         return 1 if failed else 0
 
 
