@@ -33,23 +33,23 @@ whatever ``convert`` wrote.
 Both directions work a piece at a time, so a dense document never sits
 in memory as one Python object per key or value.  The reader walks the
 top level with ``json``'s own scanner and reads a ``"masses"`` or
-``"values"`` map that follows ``"frame"`` in the ``2**12``-subset chunks
-it was written in, each piece cut at the comma before the next chunk's
-first key and the last at the first ``}``.  A piece counts only if it
-holds no more colons than a chunk has keys and ``json`` reads it as an
-object body with a member per colon, whose keys are the next keys of the
-canonical table and whose values are finite numbers; the map is then
-those bodies joined by commas, which ``json`` reads as the same members,
-and each piece goes into the vector and is dropped.  Counting colons
-proves that no piece repeats a key: each object member has one ``:`` of
-its own, so a piece holds as many colons as its object holds members
-exactly when no key repeats and no string holds a colon.  Every other
-value is read whole by ``json`` with a hook that rejects a repeated key.
-Any doubt (a map that is not a prefix of the canonical table, a cut
-inside a string, a ``}`` in a label, a count that does not match, a
-repeated key, malformed JSON) sends the whole text through
-``json.loads``, read again with that hook where its colons do not match
-its members; that route decodes keys in any order and raises whatever
+``"values"`` map after ``"frame"`` in the ``2**12``-subset chunks it was
+written in, gaps and all: a piece is the members of its first key's
+chunk, cut at the comma before a later chunk's first key, the last at
+the first ``}``.  A piece counts only if its chunk follows the last
+piece's, it holds at most a chunk's worth of colons, and ``json`` reads
+it as an object body with a member per colon, whose keys are keys of
+that chunk in ascending order and whose values are finite numbers.  The
+map is then those bodies joined by commas, which ``json`` reads as the
+same members; each piece goes into the vector and is dropped.  Counting
+colons proves that no piece repeats a key: each object member has one
+``:`` of its own, so a piece holds as many colons as its object holds
+members exactly when no key repeats and no string holds a colon.  Other
+values are read whole by ``json`` with a hook that rejects a repeated
+key.  Any doubt (a map before ``"frame"``, keys out of canonical order, a
+cut inside a string, a ``}`` in a label, a count that does not match, a
+repeated key, malformed JSON) sends the whole text through ``json.loads``
+with that hook, which decodes keys in any order and raises whatever
 error the text has, with the same messages.  The writer makes all its
 decisions (the zero rule, the rounding, the reader's checks, the
 notation) before its first piece of text.  It settles ``2**12`` subsets
@@ -146,7 +146,7 @@ def parse_subset_key(frame: Frame, key: str) -> int:
 def _written(values: np.ndarray, rebuild, dense: bool) -> tuple[list[np.ndarray], list[str]]:
     """``values`` as a document writes them, by the rules of the module docstring.
 
-    ``rebuild`` is the reader's constructor applied to the written values.
+    ``rebuild`` checks the written values, at least as the reader does.
     A ``dense`` document lists every subset, any other only those whose
     written value is not 0.  Returns, per ``2**_CHUNK_BITS``-subset chunk,
     the ascending offsets of its listed subsets (one array that every
@@ -288,35 +288,8 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _member_count(doc) -> int:
-    """The number of members of the JSON objects in ``doc``, nested ones included."""
-    count, stack = 0, [doc]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, dict):
-            count += len(node)
-            node = node.values()
-        elif not isinstance(node, list):
-            continue
-        if not {dict, list}.isdisjoint(map(type, node)):
-            stack += [x for x in node if isinstance(x, (dict, list))]
-    return count
-
-
 def _load(text: str):
-    """``json.loads(text)``; an :class:`InputError` if that fails or an object repeats a key.
-
-    Each object member has one ``:`` of its own.  So the text holds as many
-    colons as the parsed objects hold members exactly when no key repeats
-    and no string holds a ``:``; otherwise ``_unique_keys`` reads it again.
-    """
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError):
-        pass
-    else:
-        if text.count(":") == _member_count(doc):
-            return doc
+    """``json.loads(text)``; an :class:`InputError` if that fails or an object repeats a key."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
@@ -326,46 +299,61 @@ def _load(text: str):
 def _map_in_pieces(text: str, start: int, frame: Frame) -> tuple[np.ndarray, int]:
     """The vector of the map whose body starts at ``text[start]``, read a piece at a time.
 
-    Returns the vector and the index past the map's closing brace.  Each
-    piece but the last ends at the comma before the next chunk's first key,
-    so a canonical map comes in the ``2**_CHUNK_BITS``-subset chunks it was
-    written in, and the last piece ends at the first ``}``.  A piece counts
-    only if it holds at most a chunk's worth of colons, and ``json`` reads
-    it as an object body with a member per colon, whose keys are the next
-    keys of the canonical table and whose values are finite numbers.  Then
-    the map is those bodies joined by commas, which ``json`` reads as the
-    same members, and its text holds exactly one colon per member.
-    Anything else raises, before a piece larger than a chunk is parsed.
+    Returns the vector and the index past the map's closing brace.  A piece
+    is the members of its first key's chunk and ends at the comma before
+    the first key of a later chunk, found by the text of a high key: every
+    key of chunks ``g`` to ``g + lowbit(g) - 1`` ends in chunk ``g``'s high
+    key.  The last piece ends at the first ``}``.  A piece holds what the
+    module docstring says; anything else raises, before a piece larger
+    than a chunk is parsed.
     """
     bits, low, low_sep, highs = _key_chunks(frame.labels)
-    # the canonical keys one chunk at a time, so no chunk of them is held
-    later = (map(operator.add, low_sep, repeat(high)) for high in highs[1:])
-    expected = chain(low, chain.from_iterable(later))
-    # as written, a chunk's first key is its high key alone
-    high_keys = _key_table([_json_text(label) for label in frame.labels[bits:]])
-    marks = iter([f'"{key}"' for key in high_keys[1:]])
-    values = np.zeros(frame.size)
-    count, pos, last = 0, start, False
-    while not last:
-        mark = next(marks, None)
-        found = text.find(mark, pos) if mark else -1
-        stop = text.rfind(",", pos, found) if found >= 0 else -1
-        last = stop < 0
-        if last:  # a "}" in a key ends the piece inside a string, which json rejects
-            stop = text.find("}", pos)
-        size = text.count(":", pos, stop) if stop >= 0 else 0
-        if not 0 < size <= min(1 << bits, frame.size - count):
+    labels = [_json_text(label) for label in frame.labels]
+    marks = [(f'"{key}"', f'|{key}"') for key in _key_table(labels[bits:])]
+    # the most text a chunk takes as the writer lays it out, a float's repr being at most 24 characters
+    span = (len("|".join(labels)) + len(',\n    "": ') + 24) << bits
+    every = np.arange(1 << bits)
+    offset_of = {}  # each key's offset in its chunk, for chunk 0 and for the others
+    blocks = np.zeros(frame.size).reshape(len(highs), every.size)
+    chunk, found = -1, 0
+    while found >= 0:
+        pos = json.decoder.WHITESPACE.match(text, start).end()
+        if text[pos : pos + 1] != '"':
+            raise ValueError("not a key")
+        first = parse_subset_key(frame, json.decoder.scanstring(text, pos + 1)[0]) >> bits
+        if first <= chunk:
+            raise ValueError("not a later chunk")
+        chunk, g, found = first, first + 1, -1
+        while found < 0 and g < len(marks):
+            # as written, chunk g's high key alone comes before the other keys that end in it
+            hits = (text.find(mark, pos, pos + span) for mark in marks[g])
+            found, g = next((i for i in hits if i >= 0), -1), g + (g & -g)
+        # a "}" in a key ends the last piece inside a string, which json rejects
+        stop = text.rfind(",", pos, found) if found >= 0 else text.find("}", pos)
+        size = text.count(":", pos, stop) if stop > pos else 0
+        if not 0 < size <= every.size:
             raise ValueError("not a chunk of members")
         piece = json.loads("{" + text[pos:stop] + "}")
-        if len(piece) != size or not all(map(operator.eq, piece, expected)):
-            raise ValueError("not the next keys of the canonical table, each once")
+        if len(piece) != size:
+            raise ValueError("a repeated key or a colon in a string")
+        table, high = low_sep if chunk else low, highs[chunk]
+        if all(map(operator.eq, piece, map(operator.add, table, repeat(high)))):
+            offsets = every[:size]  # the chunk's first keys, a full chunk's among them
+        else:
+            if (chunk > 0) not in offset_of:  # built only once a gap comes before a listed key
+                offset_of[chunk > 0] = dict(zip(table, range(every.size)))
+            lookup, cut = offset_of[chunk > 0], len(high)
+            keys = (lookup.get(key[: len(key) - cut], -1) if key.endswith(high) else -1 for key in piece)
+            offsets = np.fromiter(keys, int, size)
+            if offsets[0] < 0 or not (offsets[1:] > offsets[:-1]).all():
+                raise ValueError("not keys of the chunk in ascending order")
         if not set(map(type, piece.values())) <= {int, float}:  # bool is a type of its own
             raise ValueError("not numbers")
-        values[count : count + size] = np.fromiter(piece.values(), float, size)
-        if not np.isfinite(values[count : count + size]).all():
+        blocks[chunk, offsets] = np.fromiter(piece.values(), float, size)
+        if not np.isfinite(blocks[chunk]).all():
             raise ValueError("not finite")
-        count, pos = count + size, stop + 1
-    return values, pos
+        start = stop + 1
+    return blocks.reshape(-1), start
 
 
 def _read_in_pieces(text: str) -> dict:
@@ -374,9 +362,10 @@ def _read_in_pieces(text: str) -> dict:
     Walks the top-level object with ``json``'s own scanner and reads every
     other value whole; a map read by :func:`_map_in_pieces` comes back as
     its vector, whose pieces count their own colons.  Raises on any doubt:
-    a frame or a piece that does not hold, a repeated top-level key, a
-    repeated key in a value read whole (``_unique_keys``), or text that is
-    not one non-empty JSON object.
+    a ``"masses"`` or ``"values"`` value that is not a map after
+    ``"frame"``, a frame or a piece that does not hold, a repeated
+    top-level key, a repeated key in a value read whole (``_unique_keys``),
+    or text that is not one non-empty JSON object.
     """
     decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
     space = json.decoder.WHITESPACE.match
@@ -393,10 +382,12 @@ def _read_in_pieces(text: str) -> dict:
         if key in doc or text[pos : pos + 1] != ":":
             raise ValueError("a repeated key or no colon")
         pos = space(text, pos + 1).end()
-        if key in ("masses", "values") and "frame" in doc and text[pos : pos + 1] == "{":
+        if key not in ("masses", "values"):
+            doc[key], pos = decoder.scan_once(text, pos)
+        elif "frame" in doc and text[pos : pos + 1] == "{":
             doc[key], pos = _map_in_pieces(text, pos + 1, _parse_frame(doc["frame"]))
         else:
-            doc[key], pos = decoder.scan_once(text, pos)
+            raise ValueError("not a map after the frame")
         pos = space(text, pos).end()
         if text[pos : pos + 1] != ",":
             break
@@ -409,7 +400,8 @@ def parse_document(text: str) -> MassFunction | ValueFunction:
     """Parse a mass or value document; raises :class:`InputError` on bad files.
 
     The text is read in pieces (:func:`_read_in_pieces`) where that holds,
-    and whole (:func:`_load`) otherwise, which raises the text's own error.
+    as it does for every document the writer emits, and whole
+    (:func:`_load`) otherwise, which raises the text's own error.
     """
     try:
         doc = _read_in_pieces(text)
@@ -462,14 +454,17 @@ def value_document_chunks(v: ValueFunction) -> Iterator[str]:
     frame = _document_frame(v.frame)
 
     def rebuild(out):
-        return ValueFunction(frame, v.kind, out)
+        written = ValueFunction(frame, v.kind, out)  # the reader's checks
+        try:  # values that invert to masses must still invert as written
+            mass_from(written)
+        except NotABeliefFunctionError:
+            try:
+                mass_from(v)
+            except NotABeliefFunctionError:
+                return
+            raise
 
-    try:
-        mass_from(v)
-    except NotABeliefFunctionError:
-        offsets, texts = _written(v.values, rebuild, dense=True)
-    else:
-        offsets, texts = _written(v.values, lambda out: mass_from(rebuild(out)), dense=True)
+    offsets, texts = _written(v.values, rebuild, dense=True)
     header = {"frame": list(frame.labels), "kind": v.kind.value}
     return _dump(header, "values", frame, offsets, texts)
 

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import json
@@ -7,6 +8,7 @@ import sys
 import tracemalloc
 from itertools import zip_longest
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from hypothesis import strategies as st
 from beliefdyn import documents, verify
 from beliefdyn.cli import main
 from beliefdyn.documents import (
-    _read_in_pieces,
     _unique_keys,
     _values_by_key,
     format_mass_document,
@@ -371,7 +372,7 @@ class TestDocuments:
             # the object with the repeated key closes before the stray comma
             '{"frame":["a"],"masses":{"":0.5,"a":0.5,"a":0.5},}',
             '{"frame":["a",{"x":1,"x":1}],"masses":{"":0.5,"a":0.5}}',
-            # a ":" in a string and a repeated key both raise the colon count: neither hides the other
+            # a ":" in a string adds a colon and a repeated key drops a member: neither hides the other
             '{"frame":["a:b"],"masses":{"":0.5,"a:b":0.5,"a:b":0.5}}',
         ],
         ids=["masses-map", "top-level", "values-map", "nested-in-a-value", "then-a-syntax-error",
@@ -401,8 +402,8 @@ class TestDocuments:
     @pytest.mark.parametrize("label, rereads", [("a:b", True), ("a\\u003ab", False)],
                              ids=["literal-colon", "escaped-colon"])
     def test_colon_in_a_label_reads(self, tmp_path, monkeypatch, label, rereads):
-        # a literal ":" in a string raises the colon count, so the text is read again with the
-        # repeated-key hook; written as an escape it is no colon of the text
+        # a literal ":" in a string gives a piece more colons than members, so the text is read
+        # whole with the repeated-key hook; written as an escape it is no colon of the text
         calls = []
 
         def spy(pairs):
@@ -460,12 +461,52 @@ class TestDocuments:
             format_value_document(q_from_mass(m))
 
 
-def read_in_pieces(text: str, field: str) -> bool:
-    """Whether the piecewise route reads the ``field`` map of ``text``."""
-    try:
-        return isinstance(_read_in_pieces(text)[field], np.ndarray)
-    except (ValueError, OverflowError, RecursionError, StopIteration, InputError):
-        return False
+def read_in_pieces(text: str) -> bool:
+    """Whether ``parse_document`` reads ``text`` in pieces: it reads a text whole only by ``_load``."""
+    with mock.patch.object(documents, "_load", wraps=documents._load) as load:
+        try:
+            parse_document(text)
+        except InputError:
+            pass
+    return not load.called
+
+
+def outcome(text: str, whole: bool = False):
+    """The vector's bytes that ``parse_document`` reads from ``text``, or its error line.
+
+    ``whole`` reads the text whole, as when the piecewise route gives up.
+    """
+    refuse = mock.patch.object(documents, "_read_in_pieces", side_effect=ValueError)
+    with refuse if whole else contextlib.nullcontext():
+        try:
+            return parse_document(text).values.tobytes()
+        except InputError as exc:
+            return str(exc)
+
+
+# name: the frame size and the subsets a mass document lists, read in pieces
+GAP_LAYOUTS = {
+    "zero-at-a-chunk-first-key": (13, [s for s in range(1 << 13) if s != 1 << 12]),
+    "every-other-chunk-empty": (14, [s for s in range(1 << 14) if not s >> 12 & 1]),
+    "trailing-empty-chunks": (15, list(range(0, 1 << 13, 2))),
+    "single-key-in-the-last-chunk": (16, [*range(1 << 12), (1 << 16) - 1]),
+}
+
+
+def gap_masses(layout: str) -> MassFunction:
+    n, listed = GAP_LAYOUTS[layout]
+    values = np.zeros(1 << n)
+    values[listed] = np.random.default_rng(n).random(len(listed)) + 0.5
+    return MassFunction(default_frame(n), values / values.sum())
+
+
+def gap_text(layout: str, edit=lambda pairs: pairs) -> str:
+    """The layout's masses at full precision in ``json.dumps``'s layout, as ``edit`` lists them."""
+    m = gap_masses(layout)
+    listed = GAP_LAYOUTS[layout][1]
+    pairs = edit([*zip((subset_key(m.frame, s) for s in listed), m.values[listed].tolist())])
+    body = ", ".join(f"{json.dumps(key)}: {value!r}" for key, value in pairs)
+    return '{"frame": %s, "masses": {%s}}' % (json.dumps(list(m.frame.labels)), body)
 
 
 def parse_route(frame_labels, mapping, field="masses"):
@@ -475,13 +516,13 @@ def parse_route(frame_labels, mapping, field="masses"):
         doc["kind"] = "q"
     text = json.dumps(doc)
     try:
-        return read_in_pieces(text, field), parse_document(text).values.tolist()
+        return read_in_pieces(text), parse_document(text).values.tolist()
     except InputError as exc:
-        return read_in_pieces(text, field), str(exc)
+        return read_in_pieces(text), str(exc)
 
 
 class TestDocumentRoutes:
-    """A canonical-order prefix of finite numbers is read in pieces; any other map key by key."""
+    """Canonical keys of finite numbers, gaps allowed, are read in pieces; any other map key by key."""
 
     ABC = ["a", "b", "c"]
     PREFIX = {"": 0.1, "a": 0.2, "b": 0.3, "a|b": 0.4}
@@ -508,6 +549,38 @@ class TestDocumentRoutes:
     )
     def test_other_orders_go_key_by_key(self, mapping):
         assert parse_route(self.ABC, mapping) == (False, [0.1, 0.2, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("layout", GAP_LAYOUTS)
+    def test_gap_maps_are_read_in_pieces(self, layout):
+        text = gap_text(layout)
+        assert read_in_pieces(text)
+        assert outcome(text) == outcome(text, whole=True) == reference_values(text).tobytes()
+
+    @pytest.mark.parametrize("layout", GAP_LAYOUTS)
+    def test_written_gap_documents_are_read_in_pieces(self, layout):
+        m = gap_masses(layout)
+        for text in (format_mass_document(m), format_value_document(pl_from_mass(m))):
+            assert read_in_pieces(text)
+            assert outcome(text) == reference_values(text).tobytes()
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda pairs: [*pairs[:5], *pairs[6:], pairs[5]], None),
+            (lambda pairs: [*pairs, pairs[5]], "a JSON object in the document lists the same key twice"),
+            (lambda pairs: [*pairs[:5000], pairs[5001], pairs[5000], *pairs[5002:]], None),
+            (lambda pairs: [*pairs[:5000], ("lm", pairs[5000][1]), *pairs[5001:]],
+             "label 'lm' not in frame ('a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j', 'k', 'l', 'm')"),
+        ],
+        ids=["earlier-chunk-after-a-later-one", "key-repeated-in-two-pieces",
+             "descending-inside-a-chunk", "high-suffix-without-a-separator"],
+    )
+    def test_gap_maps_out_of_order_go_whole(self, edit, error):
+        text = gap_text("zero-at-a-chunk-first-key", edit)
+        assert not read_in_pieces(text)
+        assert outcome(text) == outcome(text, whole=True)
+        if error is not None:
+            assert outcome(text) == error
 
     def test_newline_in_a_label_is_one_pass(self):
         mapping = {"": 0.5, "x\ny": 0.25, "z": 0.125, "x\ny|z": 0.125}
@@ -691,7 +764,7 @@ class TestReaderProof:
             assert parse_document(text).values.tobytes() == reference_values(text).tobytes()
         else:
             assert (code, capsys.readouterr().err) == (2, f"error: {error}\n")
-        assert read_in_pieces(text, "masses") == pieces
+        assert read_in_pieces(text) == pieces
 
     # "a\"s12" ends in the mark of the next chunk's first key, so the first piece is one
     # member and the next would run across the 2**12 key chunk edge: read whole instead
@@ -708,7 +781,7 @@ class TestReaderProof:
         m = MassFunction(Frame(tuple(labels)), reference_values(json.dumps(mass_doc)))
         for doc in (mass_doc, json.loads(format_value_document(pl_from_mass(m)))):
             text = json.dumps(doc, indent=indent)
-            pieces = read_in_pieces(text, "masses" if "masses" in doc else "values")
+            pieces = read_in_pieces(text)
             assert pieces == (first == "s00")
             assert parse_document(text).values.tobytes() == reference_values(text).tobytes()
 
