@@ -87,6 +87,7 @@ _LAZY = {
             "incidence_inverse",
             "incidence_matrix",
             "is_dempsterian",
+            "is_valid_generalization",
             "is_valid_specialization",
         ),
         "specialization",

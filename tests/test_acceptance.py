@@ -159,7 +159,7 @@ def test_06_conditioning_matrices_idempotent():
 def test_07_commutation_characterizes_dempsterian():
     result = check_commuting_implies_dempsterian(default_frame(3), samples=100, seed=7)
     assert result.violations == 0
-    assert result.instances == 200  # 100 Dempsterian + 100 witness searches
+    assert result.instances == 200  # 100 Dempsterian + 100 converse identities
     assert result.worst_deviation <= 1e-9
     report(7, "commutation characterization", "100+100 instances, 0 violations")
 

@@ -34,6 +34,7 @@ from beliefdyn.belief import (
     Kind,
     MassFunction,
     ValueFunction,
+    b_from_mass,
     bel_from_mass,
     mass_from,
     pl_from_mass,
@@ -472,16 +473,17 @@ def read_in_pieces(text: str) -> bool:
 
 
 def outcome(text: str, whole: bool = False):
-    """The vector's bytes that ``parse_document`` reads from ``text``, or its error line.
+    """What ``parse_document`` reads from ``text``: its type, kind and bytes, or its error's type and line.
 
     ``whole`` reads the text whole, as when the piecewise route gives up.
     """
     refuse = mock.patch.object(documents, "_read_in_pieces", side_effect=ValueError)
     with refuse if whole else contextlib.nullcontext():
         try:
-            return parse_document(text).values.tobytes()
+            parsed = parse_document(text)
         except InputError as exc:
-            return str(exc)
+            return type(exc), str(exc)
+    return type(parsed), getattr(parsed, "kind", None), parsed.values.tobytes()
 
 
 # name: the frame size and the subsets a mass document lists, read in pieces
@@ -554,14 +556,14 @@ class TestDocumentRoutes:
     def test_gap_maps_are_read_in_pieces(self, layout):
         text = gap_text(layout)
         assert read_in_pieces(text)
-        assert outcome(text) == outcome(text, whole=True) == reference_values(text).tobytes()
+        assert outcome(text) == outcome(text, whole=True) == (MassFunction, None, reference_values(text).tobytes())
 
     @pytest.mark.parametrize("layout", GAP_LAYOUTS)
     def test_written_gap_documents_are_read_in_pieces(self, layout):
         m = gap_masses(layout)
         for text in (format_mass_document(m), format_value_document(pl_from_mass(m))):
             assert read_in_pieces(text)
-            assert outcome(text) == reference_values(text).tobytes()
+            assert outcome(text)[-1] == reference_values(text).tobytes()
 
     @pytest.mark.parametrize(
         "edit, error",
@@ -580,7 +582,7 @@ class TestDocumentRoutes:
         assert not read_in_pieces(text)
         assert outcome(text) == outcome(text, whole=True)
         if error is not None:
-            assert outcome(text) == error
+            assert outcome(text) == (InputError, error)
 
     def test_newline_in_a_label_is_one_pass(self):
         mapping = {"": 0.5, "x\ny": 0.25, "z": 0.125, "x\ny|z": 0.125}
@@ -663,6 +665,45 @@ class TestDocumentRoutes:
         assert '"b|c": 1e+16,\n    "a|b|c": 1e-05,\n    "d": 5e-324,' in docs[2]
 
 
+
+# one label style per fuzzed frame: plain, a "}" that ends a piece early, an escaped quote, an
+# escaped backslash before a colon, and a label that json escapes unless told not to
+LABEL_STYLES = ("e", "}", '"', "\\:", "\u00e9")
+EDIT_CHARACTERS = '{}[]",:|\\ 0123456789.e-a\u00e9'
+
+
+def fuzzed_document(rng: np.random.Generator) -> str:
+    """Writer output at n = 1..14, 30 % of it re-dumped by ``json``, with 0-2 one-character edits."""
+    n = int(rng.integers(1, 15))
+    style = LABEL_STYLES[rng.integers(len(LABEL_STYLES))]
+    frame = Frame(tuple(f"{style}{i}" for i in range(n)))
+    values = rng.random(frame.size) * (rng.random(frame.size) < rng.random())
+    values[rng.integers(frame.size)] += 1.0
+    m = MassFunction(frame, values / values.sum())
+    convert = (None, bel_from_mass, pl_from_mass, q_from_mass, b_from_mass)[rng.integers(5)]
+    text = format_mass_document(m) if convert is None else format_value_document(convert(m))
+    if rng.random() < 0.3:
+        layout = ({"indent": None}, {"indent": 1}, {"indent": 2, "ensure_ascii": False})[rng.integers(3)]
+        text = json.dumps(json.loads(text), **layout)
+    for _ in range(rng.integers(3)):
+        at = int(rng.integers(len(text)))
+        char = EDIT_CHARACTERS[rng.integers(len(EDIT_CHARACTERS))]
+        text = text[:at] + (char, "", char + text[at])[rng.integers(3)] + text[at + 1 :]
+    return text
+
+
+def test_routes_agree_on_fuzzed_documents():
+    # the route parse_document takes never changes what it reads or the error it raises
+    rng = np.random.default_rng(20261021)
+    texts = [fuzzed_document(rng) for _ in range(250)]
+    in_pieces = 0
+    for text in texts:
+        with mock.patch.object(documents, "_load", wraps=documents._load) as load:
+            read = outcome(text)
+        in_pieces += not load.called
+        assert read == outcome(text, whole=True), text[:200]
+    # so the piecewise route is not left out: about a quarter of the texts take it
+    assert in_pieces >= len(texts) // 5
 
 def dense_mass_doc(labels, seed: int = 13) -> dict:
     """A mass document listing a mass on every subset but the full frame, at full precision."""

@@ -245,6 +245,28 @@ def test_fault_in_builder_fails_commuting_implies_dempsterian(monkeypatch):
     assert dev > verify.TOL and dev == pytest.approx(w["deviation"], abs=1e-9)
 
 
+def scale_mass_built(real):
+    """A matrix builder whose mass-built matrices are scaled by 0.999; the conditioning matrices stay exact."""
+    def fault(values, op):
+        out = real(values, op)
+        return out if np.isin(values, (0.0, 1.0)).all() else 0.999 * out
+    return fault
+
+
+@pytest.mark.parametrize("fault", [
+    lambda real: lambda v, op: np.swapaxes(real(v, op), -1, -2),  # S^T C^T - C^T S^T = (C S - S C)^T
+    scale_mass_built,  # a scaled Dempsterian matrix commutes as the exact one does
+])
+@pytest.mark.parametrize("n", [2, 3])
+def test_builder_fault_only_the_converse_catches(monkeypatch, n, fault):
+    # both faults leave every forward commutator zero; the converse's identity fails on each sample
+    patch(monkeypatch, "_transfer_rows", specialization, fault(specialization._transfer_rows))
+    report = verify.check_commuting_implies_dempsterian(default_frame(n), samples=20, seed=n)
+    w = failed_witness(report)
+    assert (report.instances, report.violations) == (40, 20)
+    assert w["converse_deviation"] > verify.TOL and "deviation" not in w
+
+
 def test_builder_fault_breaking_validity_fails_the_check_cli_with_witnesses(monkeypatch, capsys):
     # built matrices are what the checks test: an invalid one is a violation, not an input error
     real = specialization._transfer_rows
@@ -372,13 +394,8 @@ def test_invalid_sampled_public_matrices_raise(monkeypatch):
 F2 = default_frame(2)
 
 
-def identity_draws(support, rng):
-    """Sampled specializations that are all the identity, a Dempsterian matrix that commutes."""
-    return np.broadcast_to(np.eye(support.shape[-1]), support.shape).copy()
-
-
-# one planted fault per check (the contrapositive of commuting-implies-dempsterian apart), run at
-# n=2, and the exact witness text of its first violation
+# one planted fault per check, and one that only the converse of commuting-implies-dempsterian
+# catches, run at n=2, and the exact witness text of its first violation
 WITNESS_TEXTS = {
     "conditioning-least-committed": (
         "_condition", lambda real: lambda a, c: real(a, np.asarray(c) & ~1),
@@ -399,11 +416,12 @@ WITNESS_TEXTS = {
         '[0.513806129979,0.487193870021,0.0,-0.001]],"check":"commuting-implies-dempsterian",'
         '"deviation":0.001,"n":2}',
     ),
-    "commuting-implies-dempsterian-contrapositive": (
-        "_specializations", lambda real: identity_draws,
+    "commuting-implies-dempsterian-converse": (
+        "_transfer_rows", scale_mass_built,
         lambda: verify.check_commuting_implies_dempsterian(F2, samples=5, seed=2),
-        '{"S":[[1.0,0.0,0.0,0.0],[0.0,1.0,0.0,0.0],[0.0,0.0,1.0,0.0],[0.0,0.0,0.0,1.0]],'
-        '"best_witness_deviation":0.0,"check":"commuting-implies-dempsterian","n":2}',
+        '{"S":[[1.0,0.0,0.0,0.0],[0.763347987571,0.236652012429,0.0,0.0],[0.862292025818,0.0,0.137707974182,0.0],'
+        '[0.0952090394074,0.241078313129,0.326896352012,0.336816295451]],"check":"commuting-implies-dempsterian",'
+        '"converse_deviation":0.001,"n":2}',
     ),
     "dempsterian-commutation": (
         "_conjunctive", mix_vacuous,

@@ -33,6 +33,7 @@ LAZY = {
         "incidence_inverse",
         "incidence_matrix",
         "is_dempsterian",
+        "is_valid_generalization",
         "is_valid_specialization",
     ],
     "verify": ["CHECK_NAMES", "CheckReport", "all_passed", "format_reports", "run_all"],

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -200,8 +201,8 @@ class TestIndividualChecks:
     def test_commuting_implies_dempsterian_passes(self):
         report = check_commuting_implies_dempsterian(F3, samples=30, seed=6)
         assert report.passed
-        assert report.instances == 60  # witness search doubles the count at n=3
-        # the witness search's deviations are large exactly when it passes
+        assert report.instances == 60  # the converse identity doubles the count at n=3
+        # the forward commutators and the converse identity both hold to rounding
         assert report.worst_deviation <= TOL
 
     def test_dempsterian_commutation_passes(self):
@@ -287,6 +288,16 @@ class TestRunAll:
         assert all_passed(reports), format_reports(reports)
         assert sum(r.instances for r in reports) == 6970
 
+    def test_default_reports_for_seeds_0_to_9_are_pinned(self):
+        # a change that moves a count, a verdict or a witness of the default suite must say so; the
+        # worst deviations' last bits come from BLAS products, so only their bound is pinned
+        reports = [r for seed in range(10) for r in run_all(seed=seed)]
+        digest = hashlib.sha256()
+        for r in reports:
+            digest.update(repr((r.check, r.n, r.instances, r.violations, r.witness)).encode())
+        assert digest.hexdigest() == "9f36a7b0b0b4c0934f90cceb3624aa14910f831b0644c202d39a3825d8bb751f"
+        assert max(r.worst_deviation for r in reports) <= 1e-14
+
     def test_default_suite_memory_and_stacks(self, monkeypatch):
         # each check of the default suite with a 16x16 block is one stack at n=4, 37 stacks
         # in all; the largest temporaries, in the row-dominated sampler, peak near 2.86 MB
@@ -369,9 +380,7 @@ class TestFold:
         fold.add({"d": (np.array([0.5, 1.0]), 1.0)}, k=[0, 0])
         # two failed sub-identities are one violating instance
         fold.add({"d": (np.array([2.0, 4.0]), 1.0), "e": (np.array([3.0, 1.0]), 1.0)}, k=[1, 2])
-        # a witness search fails at or below its tolerance, and leaves the worst alone
-        fold.add({"best": (np.array([9.0, 1.0]), 1.0)}, search=True, k=[3, 4])
-        assert fold.report() == CheckReport("x", 2, 6, 3, 4.0, _witness("x", 2, k=1, d=2.0, e=3.0))
+        assert fold.report() == CheckReport("x", 2, 4, 2, 4.0, _witness("x", 2, k=1, d=2.0, e=3.0))
 
     def test_first_violating_row_of_a_stack_is_the_witness(self):
         fold = _Fold("x", 1)
@@ -397,10 +406,10 @@ class TestFold:
         assert np.isnan(report.worst_deviation) and not report.passed
         assert json.loads(report.witness)["k"] == (0 if np.isnan(first) else 1)
 
-    def test_inf_and_a_nan_search_are_violations(self):
+    def test_inf_deviation_is_a_violation_and_the_worst(self):
         fold = _Fold("x", 1)
         fold.add({"d": (np.array([0.0, np.inf]), 1.0)}, k=[0, 1])
-        fold.add({"best": (np.array([np.nan, 2.0]), 1.0)}, search=True, k=[2, 3])
+        fold.add({"d": (np.array([2.0, 0.5]), 1.0)}, k=[2, 3])
         report = fold.report()
         assert (report.instances, report.violations, report.worst_deviation) == (4, 2, np.inf)
         assert report.witness == _witness("x", 1, k=1, d=np.inf)
