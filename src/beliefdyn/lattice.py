@@ -10,14 +10,15 @@ transformed in one call.
 Each transform is a butterfly of ``n`` passes: pass ``i`` adds (or
 subtracts) every entry whose bit ``i`` is clear into its partner with that
 bit set, or the other way round for supersets.  Below ``2**FUSED_ORDER``
-entries the passes run one by one.  From ``2**FUSED_ORDER`` entries on, the
-first ``LOW_BITS`` passes, whose inner runs of 1 to 16 entries make slow
-sweeps over memory, run as one ``(M, 32) @ (32, 32)`` product with the
-0/±1 matrix of those passes; the other passes run one by one.  The product
-adds in another order, so its results can differ from the pass-by-pass
-ones in the last bit (a few 1e-16 of the largest entry); exact 0/1 inputs
-stay exact.  A row holding a non-finite value goes pass by pass, because
-the product would turn ``inf * 0`` into NaN.
+entries the passes run one by one.  From ``2**FUSED_ORDER`` entries on,
+every group of up to ``LOW_BITS`` bits runs as one batch of small matrix
+products with the 0/±1 matrix of its passes: bits 0-4, 5-9 and 10-14
+block by block while each block stays in cache, and the bits above 14 in
+one product per row.  The products add in another order, so their results
+can differ from the pass-by-pass ones in the last bit (a few 1e-16 of the
+largest entry); exact 0/1 inputs stay exact.  A row holding a non-finite
+value goes pass by pass, because the products would turn ``inf * 0`` into
+NaN.
 """
 
 from __future__ import annotations
@@ -137,27 +138,28 @@ def order_of(size: int) -> int:
     return n
 
 
-def _passes(out: np.ndarray, upward: bool, op, first: int) -> np.ndarray:
-    """Butterfly passes ``first .. n-1`` along the last axis of ``out``, in place."""
+def _passes(out: np.ndarray, upward: bool, op) -> np.ndarray:
+    """Every butterfly pass along the last axis of ``out``, in place."""
     size = out.shape[-1]
-    for i in range(first, order_of(size)):
+    for i in range(order_of(size)):
         v = out.reshape(*out.shape[:-1], size >> (i + 1), 2, 1 << i)
         src, dst = (v[..., 0, :], v[..., 1, :]) if upward else (v[..., 1, :], v[..., 0, :])
         op(dst, src, out=dst)
     return out
 
 
-# From 2**FUSED_ORDER entries on, the first LOW_BITS passes are one product.
-# Every such product has at least 128 rows, where a row's result does not
-# depend on how many rows share the call; smaller ones can differ.
+# From 2**FUSED_ORDER entries on, the passes run as products over groups of
+# LOW_BITS bits.  Bits 0-14 run on blocks of _BLOCK entries (256 KB) through
+# one buffer of that size.
 FUSED_ORDER = 12
 LOW_BITS = 5
+_BLOCK = 1 << 3 * LOW_BITS
 
 
 @functools.cache
-def _low_matrix(upward: bool, op) -> np.ndarray:
-    """The first ``LOW_BITS`` passes as a matrix acting on rows, built on first use."""
-    out = _passes(np.eye(1 << LOW_BITS), upward, op, 0)
+def _low_matrix(upward: bool, op, bits: int) -> np.ndarray:
+    """The first ``bits`` passes as a matrix acting on rows, built on first use."""
+    out = _passes(np.eye(1 << bits), upward, op)
     out.flags.writeable = False
     return out
 
@@ -167,19 +169,47 @@ def _butterfly(values, upward: bool, op) -> np.ndarray:
 
     ``op`` is ``np.add`` for the zeta transforms and ``np.subtract`` for their
     inverses.  Below ``2**FUSED_ORDER`` entries every pass runs on a copy of
-    the input.  From there on, the first ``LOW_BITS`` passes are one product
-    with :func:`_low_matrix`, which writes a fresh array, and the other passes
-    run on that; rows holding a non-finite value are redone pass by pass.
+    the input.  From there on each group of bits is a product with its
+    :func:`_low_matrix` ``M``.  Bits 15 and up come first, as ``M.T @ X``
+    from the input straight into the fresh result, one product per row on
+    its ``(2**(n-15), 2**15)`` matrix.  Then each block of ``2**15``
+    entries takes three products through one buffer of that size: bits 0-4
+    as ``X @ M`` and bits 5-9 as ``M.T @ X`` on its ``(32, 32)`` matrices,
+    and bits 10-14 as ``M.T @ X`` on its ``(2**k, 1024)`` ones, and is
+    copied back.  A block of 256 KB stays in cache through the three, so it
+    is read from memory once for 15 bits, and no second array of the
+    result's size is made.  Every product's shape depends on ``n`` alone
+    and lies inside one row, so a row of a stack gets the bits it gets on
+    its own.  Rows holding a non-finite value are redone pass by pass.
     """
     x = _checked(values)
-    if x.shape[-1] < 1 << FUSED_ORDER:
-        return _passes(np.array(x), upward, op, 0)
+    n = order_of(x.shape[-1])
+    if n < FUSED_ORDER:
+        return _passes(np.array(x), upward, op)
+    out = np.empty(x.shape)
+    flat = out.reshape(-1)
+    buffer = np.empty(min(_BLOCK, flat.size))
+    low = _low_matrix(upward, op, LOW_BITS)
+    high = _low_matrix(upward, op, min(n, 3 * LOW_BITS) - 2 * LOW_BITS).T
+    square = (-1, len(low), len(low))
+    wide = (-1, len(high), len(low) ** 2)
     with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf, in rows redone below
-        out = (x.reshape(-1, 1 << LOW_BITS) @ _low_matrix(upward, op)).reshape(x.shape)
         bad = ~np.isfinite(x.sum(axis=-1))
-    _passes(out, upward, op, LOW_BITS)
+        if n > 3 * LOW_BITS:
+            top = x.reshape(-1, 1 << n - 3 * LOW_BITS, _BLOCK)
+            np.matmul(_low_matrix(upward, op, n - 3 * LOW_BITS).T, top, out=out.reshape(top.shape))
+            src = flat
+        else:
+            src = x.reshape(-1)
+        for start in range(0, flat.size, _BLOCK):
+            block = flat[start:start + _BLOCK]
+            work = buffer[:block.size]
+            np.matmul(src[start:start + _BLOCK].reshape(square), low, out=work.reshape(square))
+            np.matmul(low.T, work.reshape(square), out=block.reshape(square))
+            np.matmul(high, block.reshape(wide), out=work.reshape(wide))
+            block[...] = work
     if bad.any():
-        out[bad] = _passes(x[bad], upward, op, 0)
+        out[bad] = _passes(x[bad], upward, op)
     return out
 
 

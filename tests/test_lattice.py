@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,9 @@ ROUTES = {
     zeta_supersets: (False, False),
     mobius_supersets: (False, True),
 }
-# both sides of the product route's cutoff, the documents' size and the frame cap
-FUSED_SIZES = [FUSED_ORDER - 1, FUSED_ORDER, FUSED_ORDER + 1, 16, 20]
+# both sides of the product route's cutoff, a 4-bit group inside the cached blocks (14) and
+# above them (19), the documents' size and the frame cap
+FUSED_SIZES = [FUSED_ORDER - 1, FUSED_ORDER, FUSED_ORDER + 1, 14, 16, 19, 20]
 
 
 class TestFrame:
@@ -189,7 +191,7 @@ class TestFusedKernel:
         rng = np.random.default_rng(90 + n)
         f = rng.standard_normal((2, 1 << n))
         ref = plain_butterfly(f, *ROUTES[transform])
-        assert np.abs(transform(f) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(transform(f) - ref).max() <= 8 * 2**-52 * np.abs(ref).max()
 
     @pytest.mark.parametrize("transform", TRANSFORMS)
     def test_non_finite_rows_take_the_plain_passes(self, transform):
@@ -202,14 +204,29 @@ class TestFusedKernel:
         np.testing.assert_array_equal(out[1:], ref[1:])
         assert np.array_equal(out[0], transform(f[0]))
 
+    @pytest.mark.parametrize("transform", [zeta_subsets, mobius_supersets])
+    def test_peak_memory_is_the_result_and_one_block(self, transform):
+        f = np.random.default_rng(5).random(1 << 20)
+        transform(f)  # the cached matrices are built outside the trace
+        tracemalloc.start()
+        try:
+            transform(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f.nbytes + (1 << 19)
+
     def test_result_does_not_depend_on_blas_threads(self):
+        # a 3-bit group inside the cached blocks, the 5-bit group above them, and a stack
         code = (
             "import hashlib, numpy as np\n"
             "from beliefdyn import lattice as L\n"
-            "f = np.random.default_rng(16).standard_normal((4, 1 << 16))\n"
+            "rng = np.random.default_rng(16)\n"
             "h = hashlib.sha256()\n"
-            "for t in (L.zeta_subsets, L.mobius_subsets, L.zeta_supersets, L.mobius_supersets):\n"
-            "    h.update(t(f).tobytes())\n"
+            "for shape in ((4, 1 << 16), (3, 1 << 13), (1, 1 << 20)):\n"
+            "    f = rng.standard_normal(shape)\n"
+            "    for t in (L.zeta_subsets, L.mobius_subsets, L.zeta_supersets, L.mobius_supersets):\n"
+            "        h.update(t(f).tobytes())\n"
             "print(h.hexdigest())\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
