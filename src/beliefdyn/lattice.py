@@ -150,7 +150,12 @@ def _passes(out: np.ndarray, upward: bool, op) -> np.ndarray:
 
 # From 2**FUSED_ORDER entries on, the passes run as products over groups of
 # LOW_BITS bits.  Bits 0-14 run on blocks of _BLOCK entries (256 KB) through
-# one buffer of that size.
+# one buffer of that size.  Each product is one batch item whose shape
+# depends on n alone and lies inside one row, so a row's bits do not depend
+# on the stack around it.  The products need 2**(2 * LOW_BITS) entries and
+# are faster from there on (19 against 33 us a vector at n=10, one BLAS
+# thread); the cutoff stays at 12 so that frames below it keep the bits of
+# the pass-by-pass arithmetic.
 FUSED_ORDER = 12
 LOW_BITS = 5
 _BLOCK = 1 << 3 * LOW_BITS
