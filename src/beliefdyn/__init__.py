@@ -25,7 +25,7 @@ from .belief import (
     q_from_mass,
     vacuous,
 )
-from .commitment import Ordering, compare, is_at_least_as_committed
+from .commitment import Ordering, compare
 from .dynamics import (
     combine_conjunctive,
     combine_disjunctive,
@@ -77,7 +77,6 @@ _LAZY = {
             "apply",
             "apply_despecialization",
             "apply_generalization",
-            "commute_check",
             "conditioning_matrix",
             "dempsterian_matrix",
             "despecialize_matrix",

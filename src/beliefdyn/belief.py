@@ -24,9 +24,6 @@ from . import lattice
 from .errors import InfeasibleConstraintsError, NotABeliefFunctionError, TotalConflictError
 from .lattice import DEFAULT_TOL, Frame
 
-# Construction-time validation tolerance for masses and anchor values.
-VALIDATION_TOL = 1e-9
-
 
 class Kind(str, enum.Enum):
     """The four equivalent set-function representations."""
@@ -58,15 +55,15 @@ def _frozen_vector(frame: Frame, values) -> np.ndarray:
 def _check_masses(values: np.ndarray) -> None:
     """Raise unless each row of a ``(..., 2**n)`` stack is a bba.
 
-    A row passes with no mass below ``-VALIDATION_TOL`` and a sum within
-    ``VALIDATION_TOL`` of one; a non-finite row fails the sum test.
+    A row passes with no mass below ``-DEFAULT_TOL`` and a sum within
+    ``DEFAULT_TOL`` of one; a non-finite row fails the sum test.
     """
-    if values.min() < -VALIDATION_TOL:
+    if values.min() < -DEFAULT_TOL:
         raise NotABeliefFunctionError(
             f"negative mass {values.min():.3e} at subset {int(values.argmin()) % values.shape[-1]}"
         )
     totals = np.ravel(values.sum(axis=-1))
-    bad = ~(np.abs(totals - 1.0) <= VALIDATION_TOL)
+    bad = ~(np.abs(totals - 1.0) <= DEFAULT_TOL)
     if bad.any():
         raise NotABeliefFunctionError(f"masses sum to {float(totals[bad.argmax()])!r}, expected 1")
 
@@ -75,7 +72,7 @@ def _check_masses(values: np.ndarray) -> None:
 class MassFunction:
     """A basic belief assignment: non-negative masses summing to one.
 
-    Masses are validated on construction (tolerance ``VALIDATION_TOL``);
+    Masses are validated on construction (tolerance ``DEFAULT_TOL``);
     sums are never silently repaired.  Instances are immutable.
     """
 
@@ -102,8 +99,9 @@ class MassFunction:
     def empty_mass(self) -> float:
         return float(self.values[0])
 
-    def focal_sets(self, tol: float = DEFAULT_TOL) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.values > tol)]
+    def focal_sets(self) -> list[int]:
+        """Subsets whose mass exceeds ``DEFAULT_TOL``, in increasing order."""
+        return [int(i) for i in np.flatnonzero(self.values > DEFAULT_TOL)]
 
     def __repr__(self) -> str:
         parts = ", ".join(
@@ -136,7 +134,7 @@ class ValueFunction:
         out = _frozen_vector(self.frame, self.values)
         kind = Kind(self.kind)
         index, anchor = _ANCHORS[kind]
-        if abs(out[index] - anchor) > VALIDATION_TOL:
+        if abs(out[index] - anchor) > DEFAULT_TOL:
             raise NotABeliefFunctionError(
                 f"{kind.value} must take value {anchor} on "
                 f"{'the full frame' if index == -1 else 'the empty set'}, got {float(out[index])!r}"
@@ -186,12 +184,12 @@ def pl_from_bel(bel: ValueFunction, empty_mass: float | None = None) -> ValueFun
     """Plausibility via ``pl(A) = bel(full) - bel(complement A)``.
 
     ``empty_mass`` is redundant when total mass is one; if given it is
-    checked for consistency with ``bel(full)``.
+    checked for consistency with ``bel(full)``; a NaN is inconsistent.
     """
     if bel.kind is not Kind.BELIEF:
         raise NotABeliefFunctionError(f"expected a belief function, got {bel.kind.value}")
     frame = bel.frame
-    if empty_mass is not None and abs(bel.values[-1] + empty_mass - 1.0) > VALIDATION_TOL:
+    if empty_mass is not None and not abs(bel.values[-1] + empty_mass - 1.0) <= DEFAULT_TOL:
         raise NotABeliefFunctionError(
             f"bel(full)={float(bel.values[-1])!r} inconsistent with m(empty)={float(empty_mass)!r}"
         )
@@ -203,11 +201,11 @@ def q_from_mass(m: MassFunction) -> ValueFunction:
     return ValueFunction(m.frame, Kind.COMMONALITY, lattice.zeta_supersets(m.values))
 
 
-def mass_from(v: ValueFunction, tol: float = VALIDATION_TOL) -> MassFunction:
+def mass_from(v: ValueFunction) -> MassFunction:
     """Invert any of the four representations back to masses.
 
     Raises :class:`NotABeliefFunctionError` if the inversion produces a
-    negative mass beyond ``tol`` (the input was not a belief-function
+    negative mass beyond ``DEFAULT_TOL`` (the input was not a belief-function
     representation).
     """
     frame = v.frame
@@ -223,7 +221,7 @@ def mass_from(v: ValueFunction, tol: float = VALIDATION_TOL) -> MassFunction:
             comp = np.arange(frame.size) ^ frame.full
             b = 1.0 - v.values[comp]
         masses = lattice.mobius_subsets(b)
-    if masses.min() < -tol:
+    if masses.min() < -DEFAULT_TOL:
         raise NotABeliefFunctionError(
             f"{v.kind.value} values are not a belief-function representation: "
             f"inversion gives mass {masses.min():.3e}"
@@ -241,7 +239,7 @@ def vacuous(frame: Frame) -> MassFunction:
 def normalize(m: MassFunction) -> MassFunction:
     """Move to the closed-world convention: ``m(empty) = 0``, rescale the rest."""
     conflict = m.values[0]
-    if conflict >= 1.0 - VALIDATION_TOL:
+    if conflict >= 1.0 - DEFAULT_TOL:
         raise TotalConflictError("all mass on the empty set, normalization undefined")
     out = m.values / (1.0 - conflict)
     out[0] = 0.0
@@ -262,19 +260,19 @@ def least_committed_from_disjoint_constraints(
     seen = 0
     total = 0.0
     for subset, value in constraints:
-        frame.check_subset(subset)
+        subset = frame.check_subset(subset)
         if subset == 0:
             raise InfeasibleConstraintsError("constraint on the empty set")
         if subset & seen:
             raise InfeasibleConstraintsError(
                 f"constraint sets overlap at {frame.members(subset & seen)}"
             )
-        if value < -VALIDATION_TOL:
+        if value < -DEFAULT_TOL:
             raise InfeasibleConstraintsError(f"negative constraint value {float(value)!r}")
         seen |= subset
         total += value
         values[subset] += value
-    if total > 1.0 + VALIDATION_TOL:
+    if total > 1.0 + DEFAULT_TOL:
         raise InfeasibleConstraintsError(f"constraint values sum to {float(total)!r} > 1")
     values[-1] += max(1.0 - total, 0.0)
     return MassFunction(frame, values)

@@ -31,10 +31,10 @@ class Ordering(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _classify(first_excess: np.ndarray, tol: float) -> Ordering:
+def _classify(first_excess: np.ndarray) -> Ordering:
     """Ordering from the pointwise excess of the first state's pl over the second's, in any subset order."""
-    first_above = bool((first_excess > tol).any())
-    second_above = bool((first_excess < -tol).any())
+    first_above = bool((first_excess > DEFAULT_TOL).any())
+    second_above = bool((first_excess < -DEFAULT_TOL).any())
     if first_above and second_above:
         return Ordering.INCOMPARABLE
     if first_above:
@@ -44,17 +44,13 @@ def _classify(first_excess: np.ndarray, tol: float) -> Ordering:
     return Ordering.EQUAL
 
 
-def compare(m1: MassFunction, m2: MassFunction, tol: float = DEFAULT_TOL) -> Ordering:
+def compare(m1: MassFunction, m2: MassFunction) -> Ordering:
     """Compare two belief states through their plausibility functions.
 
-    An inequality counts as strict only when the gap exceeds ``tol``, so
+    An inequality counts as strict only when the gap exceeds ``DEFAULT_TOL``, so
     floating-point ties never turn EQUAL into a strict ordering.
     """
     require_same_frame(m1, m2)
     d = lattice.zeta_subsets(m1.values - m2.values)
     # pl1 - pl2 at the complement of each subset
-    return _classify(np.subtract(d[-1], d, out=d), tol)
-
-
-def is_at_least_as_committed(m1: MassFunction, m2: MassFunction, tol: float = DEFAULT_TOL) -> bool:
-    return compare(m1, m2, tol) in (Ordering.EQUAL, Ordering.FIRST_MORE_COMMITTED)
+    return _classify(np.subtract(d[-1], d, out=d))

@@ -83,13 +83,13 @@ def _retract(a: np.ndarray, q_evidence: np.ndarray) -> np.ndarray:
     return lattice.mobius_supersets(lattice.zeta_supersets(a) / q_evidence)
 
 
-def _contained(masses: np.ndarray, tol: float, removal: str) -> np.ndarray:
+def _contained(masses: np.ndarray, removal: str) -> np.ndarray:
     """``masses`` left by a ``removal`` of evidence, clipped at zero in place.
 
-    A mass below ``-tol`` means the state never contained the evidence, and
+    A mass below ``-DEFAULT_TOL`` means the state never contained the evidence, and
     raises :class:`EvidenceNotContainedError`.
     """
-    if masses.min() < -tol:
+    if masses.min() < -DEFAULT_TOL:
         raise EvidenceNotContainedError(
             f"{removal} yields mass {masses.min():.3e}; "
             "the belief state does not contain this evidence"
@@ -104,8 +104,7 @@ def condition(m: MassFunction, condition_set: int) -> MassFunction:
     Mass on subsets incompatible with the conditioning set ends up on the
     empty set (conflict) rather than being renormalized away.
     """
-    m.frame.check_subset(condition_set)
-    return MassFunction(m.frame, _condition(m.values, condition_set))
+    return MassFunction(m.frame, _condition(m.values, m.frame.check_subset(condition_set)))
 
 
 def combine_conjunctive(m0: MassFunction, m1: MassFunction) -> MassFunction:
@@ -139,25 +138,24 @@ def combine_disjunctive(m0: MassFunction, m1: MassFunction) -> MassFunction:
     return MassFunction(m0.frame, _disjunctive(m0.values, m1.values))
 
 
-def retract(combined: MassFunction, evidence: MassFunction, tol: float = DEFAULT_TOL) -> MassFunction:
+def retract(combined: MassFunction, evidence: MassFunction) -> MassFunction:
     """Remove previously combined evidence: ``q_rest = q_combined / q_evidence``.
 
-    Requires every commonality value of the evidence to exceed ``tol``.
+    Requires every commonality value of the evidence to exceed ``DEFAULT_TOL``.
     If the quotient does not invert to a valid mass function, the combined
     state never contained the evidence and
     :class:`EvidenceNotContainedError` is raised.
     """
     require_same_frame(combined, evidence)
     q_evidence = lattice.zeta_supersets(evidence.values)
-    if q_evidence.min() <= tol:
+    if q_evidence.min() <= DEFAULT_TOL:
         worst = int(q_evidence.argmin())
         raise NonInvertibleEvidenceError(
             f"evidence commonality at subset {worst} is {q_evidence[worst]:.3e}, not invertible"
         )
-    return MassFunction(combined.frame, _contained(_retract(combined.values, q_evidence), tol, "retraction"))
+    return MassFunction(combined.frame, _contained(_retract(combined.values, q_evidence), "retraction"))
 
 
 def enlarge(m: MassFunction, indiscernible: int) -> MassFunction:
     """Make the elements of a set indiscernible: each mass moves from ``X`` to ``X | set``."""
-    m.frame.check_subset(indiscernible)
-    return MassFunction(m.frame, _enlarge(m.values, indiscernible))
+    return MassFunction(m.frame, _enlarge(m.values, m.frame.check_subset(indiscernible)))

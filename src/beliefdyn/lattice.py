@@ -24,6 +24,7 @@ NaN.
 from __future__ import annotations
 
 import functools
+import operator
 import string
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,7 +33,10 @@ import numpy as np
 
 from .errors import FrameMismatchError, FrameTooLargeError
 
-# Default comparison tolerance (absolute) for float values on the lattice.
+# The one absolute tolerance: validation (masses, anchor values, matrix
+# invariants), the predicates (validity, Dempsterian, commitment, focal
+# sets), the preconditions (invertible commonalities) and the clipping of
+# retraction results all decide at this value.
 DEFAULT_TOL = 1e-9
 
 # Vector algebra is allowed up to 2**CAP_TRANSFORM entries; dense
@@ -93,15 +97,22 @@ class Frame:
 
     def members(self, subset: int) -> tuple[str, ...]:
         """Labels of the elements in ``subset``, in frame order."""
-        self.check_subset(subset)
+        subset = self.check_subset(subset)
         return tuple(lab for i, lab in enumerate(self.labels) if subset >> i & 1)
 
     def check_subset(self, subset: int) -> int:
-        if not 0 <= subset < self.size:
+        """``subset`` as an ``int`` bitmask of this frame, for callers to index with; a ``bool`` raises."""
+        try:
+            if isinstance(subset, bool):
+                raise TypeError
+            index = operator.index(subset)
+        except TypeError:
+            raise FrameMismatchError(f"subset must be an integer bitmask, got {subset!r}") from None
+        if not 0 <= index < self.size:
             raise FrameMismatchError(
-                f"subset {subset:#x} out of range for a frame of {self.n} elements"
+                f"subset {index:#x} out of range for a frame of {self.n} elements"
             )
-        return subset
+        return index
 
 
 def default_frame(n: int) -> Frame:

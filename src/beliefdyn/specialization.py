@@ -221,9 +221,8 @@ def conditioning_matrix(frame: Frame, condition_set: int) -> SpecializationMatri
     so this is that mass's Dempsterian matrix.
     """
     _check_matrix_frame(frame)
-    frame.check_subset(condition_set)
     categorical = np.zeros(frame.size)
-    categorical[condition_set] = 1.0
+    categorical[frame.check_subset(condition_set)] = 1.0
     return SpecializationMatrix(frame, _sealed(_transfer_rows(categorical, np.bitwise_and)))
 
 
@@ -233,15 +232,18 @@ def dempsterian_matrix(m: MassFunction) -> SpecializationMatrix:
     return SpecializationMatrix(frame, _sealed(_transfer_rows(m.values, np.bitwise_and)))
 
 
-def _bounded(v: np.ndarray, tol: float) -> np.ndarray:
-    """Per matrix: entries in ``[-tol, 1 + tol]`` and row sums within ``tol`` of one; NaN fails."""
-    ok = (v.min(axis=(-2, -1)) >= -tol) & (v.max(axis=(-2, -1)) <= 1.0 + tol)
+def _bounded(v: np.ndarray) -> np.ndarray:
+    """Per matrix: entries in ``[-tol, 1 + tol]``, row sums within ``tol`` of one; NaN fails.
+
+    ``tol`` is ``DEFAULT_TOL`` here and in the predicates below.
+    """
+    ok = (v.min(axis=(-2, -1)) >= -DEFAULT_TOL) & (v.max(axis=(-2, -1)) <= 1.0 + DEFAULT_TOL)
     with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf gives NaN, huge rows inf; both fail
         sums = v.sum(axis=-1)
-    return ok & (np.abs(sums - 1.0).max(axis=-1) <= tol)
+    return ok & (np.abs(sums - 1.0).max(axis=-1) <= DEFAULT_TOL)
 
 
-def _valid(v: np.ndarray, tol: float, upward: bool = False) -> np.ndarray:
+def _valid(v: np.ndarray, upward: bool = False) -> np.ndarray:
     """Per matrix of a ``(..., N, N)`` stack: the specialization invariants.
 
     :func:`_bounded`, and no entry above ``tol`` off the support (``upward``:
@@ -249,22 +251,22 @@ def _valid(v: np.ndarray, tol: float, upward: bool = False) -> np.ndarray:
     test gathers nothing; where the bounds hold no entry is NaN or below
     ``-tol``, so it decides as ``|entry| <= tol`` would.
     """
-    above = v > tol
+    above = v > DEFAULT_TOL
     above &= _off_support(v.shape[-1], upward)
-    return _bounded(v, tol) & ~above.any(axis=(-2, -1))
+    return _bounded(v) & ~above.any(axis=(-2, -1))
 
 
-def is_valid_specialization(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> bool:
+def is_valid_specialization(s: SpecializationMatrix) -> bool:
     """Check row sums of one, entries in [0, 1], support only on subsets."""
-    return bool(_valid(s.values, tol))
+    return bool(_valid(s.values))
 
 
-def is_valid_generalization(g: GeneralizationMatrix, tol: float = DEFAULT_TOL) -> bool:
+def is_valid_generalization(g: GeneralizationMatrix) -> bool:
     """Check row sums of one, entries in [0, 1], support only on supersets."""
-    return bool(_valid(g.values, tol, upward=True))
+    return bool(_valid(g.values, upward=True))
 
 
-def _is_dempsterian(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _is_dempsterian(v: np.ndarray) -> np.ndarray:
     """Per matrix of a stack: :func:`_valid`, and every row the top row conditioned on its subset.
 
     Only the support entries are compared, against :func:`_support_values` of
@@ -277,25 +279,25 @@ def _is_dempsterian(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         on = v.reshape(*v.shape[:-2], -1)[..., _support_positions(v.shape[-1], False)]
         gap = np.subtract(on, expected, out=expected)
         gap = np.abs(gap, out=gap).max(axis=-1)
-    return _valid(v, tol) & (gap <= tol)
+    return _valid(v) & (gap <= DEFAULT_TOL)
 
 
-def is_dempsterian(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> bool:
+def is_dempsterian(s: SpecializationMatrix) -> bool:
     """True iff every row equals the top row conditioned on the row's subset.
 
     This is the closed form characterizing matrices generated by a mass
     function; it is checked deterministically rather than by searching for
     commutation witnesses.
     """
-    return bool(_is_dempsterian(s.values, tol))
+    return bool(_is_dempsterian(s.values))
 
 
-def _checked(v: np.ndarray, tol: float = DEFAULT_TOL, upward: bool = False) -> np.ndarray:
+def _checked(v: np.ndarray, upward: bool = False) -> np.ndarray:
     """``v``, a ``(..., N, N)`` stack, once :func:`_valid` holds for every matrix.
 
     A matrix that fails raises :class:`InvalidSpecializationError`.
     """
-    if not _valid(v, tol, upward).all():
+    if not _valid(v, upward).all():
         kind = "generalization" if upward else "specialization"
         raise InvalidSpecializationError(f"matrix violates the {kind} invariants")
     return v
@@ -309,39 +311,26 @@ def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ v)[..., 0, :]
 
 
-def apply(m: MassFunction, s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> MassFunction:
+def apply(m: MassFunction, s: SpecializationMatrix) -> MassFunction:
     """Specialize ``m`` by ``s`` (row-vector product ``m . s``)."""
     require_same_frame(m, s)
-    return MassFunction(m.frame, _apply(m.values, _checked(s.values, tol)))
+    return MassFunction(m.frame, _apply(m.values, _checked(s.values)))
 
 
-def apply_generalization(
-    m: MassFunction, g: GeneralizationMatrix, tol: float = DEFAULT_TOL
-) -> MassFunction:
+def apply_generalization(m: MassFunction, g: GeneralizationMatrix) -> MassFunction:
     require_same_frame(m, g)
-    return MassFunction(m.frame, _apply(m.values, _checked(g.values, tol, upward=True)))
+    return MassFunction(m.frame, _apply(m.values, _checked(g.values, upward=True)))
 
 
-def apply_despecialization(
-    m: MassFunction, d: DespecializationMatrix, tol: float = DEFAULT_TOL
-) -> MassFunction:
+def apply_despecialization(m: MassFunction, d: DespecializationMatrix) -> MassFunction:
     """Undo a specialization; defined only where the result is a valid bba.
 
-    Masses in ``[-tol, 0)`` are clamped to zero; anything more negative
+    Masses in ``[-DEFAULT_TOL, 0)`` are clamped to zero; anything more negative
     means the evidence being removed was never combined in, and raises
     :class:`EvidenceNotContainedError`.
     """
     require_same_frame(m, d)
-    return MassFunction(m.frame, _contained(m.values @ d.values, tol, "de-specialization"))
-
-
-def commute_check(
-    s1: SpecializationMatrix, s2: SpecializationMatrix, tol: float = DEFAULT_TOL
-) -> tuple[bool, float]:
-    """Max-norm deviation of ``s1.s2 - s2.s1`` and whether it is below ``tol``."""
-    require_same_frame(s1, s2)
-    deviation = float(np.abs(s1.values @ s2.values - s2.values @ s1.values).max())
-    return deviation <= tol, deviation
+    return MassFunction(m.frame, _contained(m.values @ d.values, "de-specialization"))
 
 
 @functools.cache
@@ -401,14 +390,14 @@ class EigenStructure:
     reconstruction_error: float
 
 
-def _dempsterian_diagonal(s: SpecializationMatrix, tol: float) -> np.ndarray:
+def _dempsterian_diagonal(s: SpecializationMatrix) -> np.ndarray:
     """``diag(s)``, the commonality of the generating mass; only for Dempsterian ``s``."""
-    if not is_dempsterian(s, tol):
+    if not is_dempsterian(s):
         raise NotDempsterianError("eigenstructure is defined for Dempsterian matrices only")
     return np.diag(s.values).copy()
 
 
-def eigen_structure(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> EigenStructure:
+def eigen_structure(s: SpecializationMatrix) -> EigenStructure:
     """Diagonalize a Dempsterian ``s`` as ``T diag(q) T_inverse``.
 
     ``reconstruction_error`` is the max-norm distance from ``s`` to that
@@ -418,7 +407,7 @@ def eigen_structure(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> EigenS
     from :func:`_support_values`, and the largest ``|s|`` off the support,
     taken from one ``abs`` copy with the support zeroed.
     """
-    q = _dempsterian_diagonal(s, tol)
+    q = _dempsterian_diagonal(s)
     expected = _support_values(lattice.mobius_supersets(q), upward=False)
     flat = _support_positions(s.frame.size, False)
     on = np.subtract(s.values.reshape(-1)[flat], expected, out=expected)
@@ -429,10 +418,11 @@ def eigen_structure(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> EigenS
     return EigenStructure(s.frame, t.view(), q, t_inverse.view(), err)
 
 
-def despecialize_matrix(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> DespecializationMatrix:
+def despecialize_matrix(s: SpecializationMatrix) -> DespecializationMatrix:
     """Inverse ``T diag(1/q) T_inverse`` of a Dempsterian matrix.
 
-    Requires every eigenvalue (commonality value) to be nonzero; a zero
+    Requires every eigenvalue (commonality value) to exceed ``DEFAULT_TOL``
+    in magnitude; a zero
     eigenvalue means the generating mass function put no mass on the full
     frame's side of some subset and cannot be retracted.
 
@@ -442,8 +432,8 @@ def despecialize_matrix(s: SpecializationMatrix, tol: float = DEFAULT_TOL) -> De
     one Moebius transform and one :func:`_transfer_rows`, ``3**n`` sums for
     ``2**n`` subsets, with neither ``T`` nor ``T_inverse`` built.
     """
-    q = _dempsterian_diagonal(s, tol)
-    if np.abs(q).min() <= tol:
+    q = _dempsterian_diagonal(s)
+    if np.abs(q).min() <= DEFAULT_TOL:
         worst = int(np.abs(q).argmin())
         raise SingularSpecializationError(
             f"singular: commonality of subset {worst} is {q[worst]:.3e}"
@@ -460,9 +450,8 @@ def enlargement_matrix(frame: Frame, indiscernible: int) -> GeneralizationMatrix
     yields the same mass pattern for every ``Y`` inside the set.
     """
     _check_matrix_frame(frame)
-    frame.check_subset(indiscernible)
     categorical = np.zeros(frame.size)
-    categorical[indiscernible] = 1.0
+    categorical[frame.check_subset(indiscernible)] = 1.0
     return GeneralizationMatrix(frame, _sealed(_transfer_rows(categorical, np.bitwise_or)))
 
 

@@ -226,7 +226,7 @@ def sigma_star_specialization(
     condition characterizing the matrices whose output always gives the
     complement of the conditioning set zero plausibility.
     """
-    frame.check_subset(condition_set)
+    condition_set = frame.check_subset(condition_set)
     return SpecializationMatrix(frame, _sigma_star(incidence_matrix(frame), condition_set, rng))
 
 

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from beliefdyn.commitment import _classify
-from beliefdyn.lattice import DEFAULT_TOL, _transfer, require_same_frame, zeta_subsets
+from beliefdyn.lattice import _transfer, require_same_frame, zeta_subsets
 
 
 def is_subset(a: int, b: int) -> bool:
@@ -275,10 +275,10 @@ def reference_values(text):
     return values
 
 
-def compare_bel_form(m1, m2, tol=DEFAULT_TOL):
+def compare_bel_form(m1, m2):
     """``commitment.compare``'s ordering from ``b = bel + m(empty)``, larger-is-more-committed."""
     require_same_frame(m1, m2)
     b1 = zeta_subsets(m1.values)
     b2 = zeta_subsets(m2.values)
     # b1 >= b2 everywhere  <=>  pl1 <= pl2 everywhere (total mass is one)
-    return _classify(b2 - b1, tol)
+    return _classify(b2 - b1)

@@ -20,6 +20,7 @@ from beliefdyn.belief import (
     vacuous,
 )
 from beliefdyn.errors import (
+    FrameMismatchError,
     InfeasibleConstraintsError,
     NotABeliefFunctionError,
     TotalConflictError,
@@ -28,6 +29,7 @@ from beliefdyn.lattice import default_frame
 from beliefdyn.verify import random_mass
 from oracles import naive_bel, naive_pl, naive_q
 
+F2 = default_frame(2)
 F3 = default_frame(3)
 
 
@@ -44,6 +46,21 @@ class TestValidation:
     def test_bad_sum_rejected(self):
         with pytest.raises(NotABeliefFunctionError):
             MassFunction(F3, np.full(8, 0.2))
+
+    def test_bool_subset_key_rejected(self):
+        # numpy read True as a mask: 0.25 went to all four subsets and the result passed as a bba
+        with pytest.raises(FrameMismatchError):
+            MassFunction.from_masses(F2, {True: 0.25})
+
+    def test_bool_subset_lookup_rejected(self):
+        with pytest.raises(FrameMismatchError):
+            vacuous(F2).mass(True)
+        with pytest.raises(FrameMismatchError):
+            bel_from_mass(vacuous(F2)).value(1.0)
+
+    def test_numpy_integer_subsets_accepted(self):
+        m = MassFunction.from_masses(F2, {np.int64(1): 0.5, np.uint8(3): 0.5})
+        assert m.mass(np.int32(1)) == 0.5 and m.focal_sets() == [1, 3]
 
     def test_tiny_negatives_tolerated(self):
         values = np.zeros(8)
@@ -141,6 +158,12 @@ class TestPlausibility:
         m = partial_knowledge_example()
         with pytest.raises(NotABeliefFunctionError):
             pl_from_bel(bel_from_mass(m), 0.5)
+
+    def test_nan_empty_mass_rejected(self):
+        # abs(nan) > tol is False, so a NaN used to pass the consistency check
+        m = partial_knowledge_example()
+        with pytest.raises(NotABeliefFunctionError, match="inconsistent"):
+            pl_from_bel(bel_from_mass(m), float("nan"))
 
     def test_inconsistent_numpy_empty_mass_prints_plain_floats(self):
         m = partial_knowledge_example()

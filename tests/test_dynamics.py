@@ -45,6 +45,13 @@ def safeguarded(m: MassFunction, floor: float = 0.1) -> MassFunction:
 
 
 class TestCondition:
+    def test_float_subset_rejected(self):
+        # used to reach numpy as a float and raise a raw TypeError
+        with pytest.raises(FrameMismatchError):
+            condition(vacuous(F2), 1.0)
+        with pytest.raises(FrameMismatchError):
+            enlarge(vacuous(F2), True)
+
     def test_full_frame_is_neutral(self):
         rng = np.random.default_rng(0)
         m = random_mass(F3, rng)
@@ -343,6 +350,23 @@ class TestRetract:
         m1 = MassFunction.from_masses(F2, {0b10: 0.4, 0b11: 0.6})
         with pytest.raises(EvidenceNotContainedError):
             retract(vacuous(F2), m1)
+
+    @pytest.mark.parametrize("shortfall", [3.75e-10, 3.75e-7])
+    def test_shortfall_is_clipped_within_the_tolerance_and_raises_beyond_it(self, shortfall):
+        # moving 0.6 * shortfall from {b} to the frame in the worked pair's combination
+        # leaves the retraction short by ``shortfall`` on {b}
+        m0, m1 = pair_example()
+        combined = combine_conjunctive(m0, m1).values.copy()
+        combined[0b10] -= 0.6 * shortfall
+        combined[0b11] += 0.6 * shortfall
+        state = MassFunction(F2, combined)
+        if shortfall < lattice.DEFAULT_TOL:
+            out = retract(state, m1)
+            assert out.mass(0b10) == 0.0
+            np.testing.assert_allclose(out.values, m0.values, atol=1e-9)
+        else:
+            with pytest.raises(EvidenceNotContainedError, match="-3.750e-07"):
+                retract(state, m1)
 
 
 class TestEnlarge:

@@ -76,6 +76,15 @@ class TestFrame:
         with pytest.raises(FrameMismatchError):
             f.members(4)
 
+    def test_subset_must_be_an_integer(self):
+        # a bool or a float used to pass the range test and then index numpy arrays with it
+        f = Frame(("a", "b"))
+        for subset in (True, False, np.True_, 1.0, np.float64(1.0), "1", None):
+            with pytest.raises(FrameMismatchError, match="integer bitmask"):
+                f.check_subset(subset)
+        assert f.check_subset(np.int64(3)) == 3 and type(f.check_subset(np.int64(3))) is int
+        assert f.members(np.uint8(2)) == ("b",)
+
 
 class TestSubsetOps:
     def test_order_of(self):

@@ -1,5 +1,6 @@
 """Start-up: the package and its CLI load the checks and the matrices on first use only."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -23,7 +24,6 @@ LAZY = {
         "apply",
         "apply_despecialization",
         "apply_generalization",
-        "commute_check",
         "conditioning_matrix",
         "dempsterian_matrix",
         "despecialize_matrix",
@@ -91,6 +91,25 @@ def test_lazy_names_resolve_in_process():
     listed = dir(beliefdyn)
     assert listed == sorted(listed)
     assert {*LAZY, *(n for names in LAZY.values() for n in names)} <= set(listed)
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # DEFAULT_TOL is the one tolerance: no public function or method takes a ``tol``
+    def python_defined(obj):
+        return inspect.isfunction(obj) or inspect.ismethod(obj)
+
+    callables = []
+    for name in beliefdyn.__all__:
+        obj = getattr(beliefdyn, name)
+        if python_defined(obj):
+            callables.append((name, obj))
+        elif inspect.isclass(obj):
+            methods = inspect.getmembers(obj, python_defined)
+            callables += [(f"{name}.{attr}", m) for attr, m in methods if not attr.startswith("_")]
+    assert len(callables) > 40
+    assert [name for name, obj in callables if "tol" in inspect.signature(obj).parameters] == []
+    assert not {"commute_check", "is_at_least_as_committed", "VALIDATION_TOL"} & set(dir(beliefdyn))
+    assert not hasattr(beliefdyn.belief, "VALIDATION_TOL")
 
 
 def test_star_import_brings_the_lazy_names():
